@@ -59,6 +59,7 @@ from .rkhs import (
     OuterFunction,
     SzegoKernel,
     blaschke_eval,
+    cyclic_grams,
     cyclic_kernel,
     model_space_kernel,
     outer_from_modulus,

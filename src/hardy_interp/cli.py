@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -66,15 +65,6 @@ from .solve import (
 )
 
 DEFAULT_GRID = (16, 64, 0.995)
-
-
-def worker_count() -> int:
-    """Worker cap from HARDY_INTERP_THREADS (default 1)."""
-    raw = os.environ.get("HARDY_INTERP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class Certificate:
@@ -185,13 +175,12 @@ def _scalar(pf: ProblemFile, args, key: str, default):
     return pf.scalars.get(key, default)
 
 
-def _echo_config(cert: Certificate, pf: ProblemFile, args, grid=None,
-                 tol: float = None, samples: int = None) -> None:
-    cert.add("config.tol", tol if tol is not None else _scalar(pf, args, "tol", 1e-8))
-    cert.add("config.seed", int(_scalar(pf, args, "seed", 0)))
-    cert.add("config.samples", int(samples if samples is not None
-                                   else _scalar(pf, args, "samples", 512)))
-    cert.add("config.degree", int(_scalar(pf, args, "degree", 8)))
+def _echo_config(cert: Certificate, **used) -> None:
+    """Echo the settings a command used, and only those, in a fixed order."""
+    grid = used.pop("grid", None)
+    for key in ("tol", "seed", "samples", "degree"):
+        if key in used:
+            cert.add(f"config.{key}", used[key])
     if grid is not None:
         cert.add("config.grid", [grid.radial_count, grid.angular_count, grid.max_radius])
 
@@ -225,17 +214,14 @@ def _cmd_feasible(pf: ProblemFile, args, cert: Certificate) -> int:
     method = pf.words.get("method")
     if method is None:
         method = "single" if isinstance(problem.algebra, FullHinf) else "family"
+    used = {"tol": tol}
     if method == "single":
         report = feasible_single(problem, _build_kernel(pf, problem.algebra), tol)
     elif method == "family":
-        report = feasible_family(
-            problem,
-            samples=int(_scalar(pf, args, "samples", 512)),
-            refine=True,
-            tol=tol,
-            seed=int(_scalar(pf, args, "seed", 0)),
-            workers=worker_count(),
-        )
+        used["samples"] = int(_scalar(pf, args, "samples", 512))
+        used["seed"] = int(_scalar(pf, args, "seed", 0))
+        report = feasible_family(problem, samples=used["samples"], refine=True,
+                                 tol=tol, seed=used["seed"])
     elif method == "scaled":
         c = pf.scalars.get("c")
         if c is None:
@@ -253,7 +239,7 @@ def _cmd_feasible(pf: ProblemFile, args, cert: Certificate) -> int:
         cert.add("conditional", "similarity-hypothesis")
     if report.worst_parameter is not None:
         cert.add("witness", list(report.worst_parameter.coefficients))
-    _echo_config(cert, pf, args)
+    _echo_config(cert, **used)
     return 0 if report.verdict is Verdict.FEASIBLE else 1
 
 
@@ -290,7 +276,7 @@ def _cmd_solve(pf: ProblemFile, args, cert: Certificate) -> int:
         cert.add("grid_norm", gnorm)
         cert.add("residual", residual)
         _solution_payload(cert, func)
-        _echo_config(cert, pf, args, grid)
+        _echo_config(cert, grid=grid)
         return 0
     grid = _grid_from(pf, args)
     degree = int(_scalar(pf, args, "degree", 8))
@@ -302,7 +288,7 @@ def _cmd_solve(pf: ProblemFile, args, cert: Certificate) -> int:
     cert.add("meets_level", "yes" if result.meets_level else "no")
     cert.add("rounds", result.minimax.iterations)
     _solution_payload(cert, result.function)
-    _echo_config(cert, pf, args, grid, tol=tol)
+    _echo_config(cert, tol=tol, degree=degree, grid=grid)
     return 0 if result.meets_level else 1
 
 
@@ -338,9 +324,8 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
         sets = [np.array(s, dtype=complex) for s in pf.point_sets]
         if not sets:
             raise ProblemFileError("mode check requires set lines")
-        report = corona_check(problem, sets, samples=samples,
-                              tol=_scalar(pf, args, "tol", 1e-8),
-                              seed=seed, workers=worker_count())
+        tol = _scalar(pf, args, "tol", 1e-8)
+        report = corona_check(problem, sets, samples=samples, tol=tol, seed=seed)
         cert.add("verdict", "pass" if report.passed else "fail")
         cert.add("min_eig", report.min_eig)
         cert.add("sets_tested", report.sets_tested)
@@ -349,7 +334,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
             cert.add("worst_set", list(report.worst_point_set))
         if report.worst_parameter is not None:
             cert.add("worst_parameter", list(report.worst_parameter.coefficients))
-        _echo_config(cert, pf, args, samples=samples)
+        _echo_config(cert, tol=tol, seed=seed, samples=samples)
         return 0 if report.passed else 1
     if mode == "solve":
         pf.require("node", pf.nodes)
@@ -357,6 +342,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
         grid = _grid_from(pf, args)
         degree = int(_scalar(pf, args, "degree", 8))
         tol = _scalar(pf, args, "tol", 1e-6)
+        used = dict(tol=tol, seed=seed, samples=samples, degree=degree, grid=grid)
         try:
             solution, report = corona_solve(
                 problem, nodes, degree, grid,
@@ -367,7 +353,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
             cert.add("reason", str(exc))
             if exc.report is not None:
                 cert.add("min_eig", exc.report.min_eig)
-            _echo_config(cert, pf, args, grid)
+            _echo_config(cert, **used)
             return 1
         cert.add("verdict", "pass")
         cert.add("node_residual", report.node_residual)
@@ -375,7 +361,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
         cert.add("solution_norm", report.solution_norm)
         cert.add("norm_slack", report.norm_slack)
         _solution_payload(cert, solution)
-        _echo_config(cert, pf, args, grid, tol=tol, samples=samples)
+        _echo_config(cert, **used)
         return 0
     raise ProblemFileError(f"unknown corona mode {mode!r}")
 
@@ -395,7 +381,7 @@ def _cmd_distance(pf: ProblemFile, args, cert: Certificate) -> int:
     cert.add("dual", dual)
     cert.add("gap", primal - dual)
     cert.add("rank", problem.rank)
-    _echo_config(cert, pf, args)
+    _echo_config(cert, tol=tol, seed=seed)
     return 0
 
 
@@ -414,7 +400,7 @@ def _cmd_verify(pf: ProblemFile, args, cert: Certificate) -> int:
     cert.add("grid_norm", report.grid_norm)
     cert.add("pick_min_eig", report.pick_min_eig)
     cert.add("pick_psd", "yes" if report.pick_psd else "no")
-    _echo_config(cert, pf, args, grid)
+    _echo_config(cert, grid=grid)
     return 0
 
 

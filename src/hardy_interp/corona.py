@@ -19,9 +19,9 @@ from .errors import (
     InfeasibleConstraints,
     NoSolutionExists,
 )
-from .numerics import DiskGrid, hermitian_min_eig
+from .numerics import DiskGrid, hermitian_eigenvalues
 from .pick import FullHinf, TangentialProblem
-from .rkhs import ModelVector, check_in_disk, sample_model_sphere, tm_basis
+from .rkhs import ModelVector, SzegoKernel, check_in_disk, cyclic_grams, sample_model_sphere
 from .solve import VectorAnalyticFunction, tangential_solve
 
 __all__ = [
@@ -43,8 +43,8 @@ class CoronaProblem:
     delta: float
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise ValueError("delta must be positive")
+        if not (0.0 < self.delta < np.inf):
+            raise ValueError("delta must be positive and finite")
 
     @property
     def algebra(self):
@@ -73,27 +73,21 @@ def grid_min_norm(function: VectorAnalyticFunction, grid: DiskGrid) -> float:
     return float(np.sqrt(np.sum(np.abs(vals) ** 2, axis=1)).min())
 
 
-def _corona_matrix(fvals: np.ndarray, delta: float, kgram: np.ndarray) -> np.ndarray:
-    # entry (i, j) = (sum_k F_k(x_i) conj(F_k(x_j)) - delta^2) K(x_i, x_j)
-    inner = fvals @ fvals.conj().T
-    q = (inner - delta ** 2) * kgram
-    return 0.5 * (q + q.conj().T)
-
-
 def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
-                 tol: float = 1e-8, seed: int = 0, workers: int = 1) -> CoronaReport:
+                 tol: float = 1e-8, seed: int = 0) -> CoronaReport:
     """Test the corona positivity condition on each point set.
 
     For H-infinity the family is the Szego kernel alone; for
     C + B*H-infinity the cyclic kernels of a deterministic sweep of
-    ``samples`` unit model vectors are tested.  Fails fast with the witness
-    point set and kernel parameter.
+    ``samples`` unit model vectors are tested, all Gram matrices of a point
+    set in one batch and all their eigenvalues in one stacked call.  Fails
+    fast with the witness point set and kernel parameter.
     """
     algebra = problem.algebra
     szego_only = isinstance(algebra, FullHinf)
-    vectors = None
     if not szego_only:
         vectors = sample_model_sphere(algebra.product, samples, seed)
+        coeffs = np.array([v.coefficients for v in vectors])
 
     worst_eig = np.inf
     sets_tested = 0
@@ -102,45 +96,24 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
         pts = check_in_disk(pts, "corona point")
         sets_tested += 1
         fvals = problem.function.values(pts)
-        szego = 1.0 / (1.0 - pts[:, None] * np.conj(pts)[None, :])
+        # entry (i, j) = sum_k F_k(x_i) conj(F_k(x_j)) - delta^2
+        inner = fvals @ fvals.conj().T - problem.delta ** 2
+        inner = 0.5 * (inner + inner.conj().T)
         if szego_only:
-            grams = [("szego", None, 0.5 * (szego + szego.conj().T))]
+            grams = SzegoKernel().gram(pts)[None]
         else:
-            product = algebra.product
-            bvals = product(pts)
-            inner = (bvals[:, None] * np.conj(bvals)[None, :]) * szego
-            emat = tm_basis(product).eval_matrix(pts)
-
-            def gram_of(vec):
-                a = emat @ vec.coefficients
-                g = np.outer(a, np.conj(a)) + inner
-                return 0.5 * (g + g.conj().T)
-
-            grams = [(v, v, gram_of(v)) for v in vectors]
-
-        def eig_of(entry):
-            _, _, g = entry
-            return hermitian_min_eig(_corona_matrix(fvals, problem.delta, g))
-
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                eigs = list(pool.map(eig_of, grams))
-        else:
-            eigs = [eig_of(g) for g in grams]
+            grams = cyclic_grams(algebra.product, pts, coeffs)
+        eigs = hermitian_eigenvalues(inner * grams)[:, 0]
         kernels_tested += len(grams)
         idx = int(np.argmin(eigs))
         lam = float(eigs[idx])
-        if lam < worst_eig:
-            worst_eig = lam
+        worst_eig = min(worst_eig, lam)
         if lam < -tol:
-            vec = grams[idx][1]
             return CoronaReport(
                 passed=False,
                 min_eig=lam,
                 worst_point_set=pts,
-                worst_parameter=vec if isinstance(vec, ModelVector) else None,
+                worst_parameter=None if szego_only else vectors[idx],
                 sets_tested=sets_tested,
                 kernels_tested=kernels_tested,
             )

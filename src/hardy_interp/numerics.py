@@ -1,9 +1,9 @@
 """Shared numerical kernel.
 
-Hermitian eigenanalysis by cyclic Jacobi rotations, positive-semidefinite
-verdicts, uniform circle quadrature, deterministic disk sampling grids, and
-a linearly-constrained minimax solver.  Everything here is a pure function
-of its inputs; matrices are ordinary numpy arrays.
+Validated Hermitian eigenvalues by LAPACK (one matrix or a batched stack),
+positive-semidefinite verdicts, uniform circle quadrature, deterministic
+disk sampling grids, and a linearly-constrained minimax solver.  Everything
+here is a pure function of its inputs; matrices are ordinary numpy arrays.
 """
 
 from __future__ import annotations
@@ -31,66 +31,32 @@ __all__ = [
 
 
 def as_hermitian(entries) -> np.ndarray:
-    """Validate and return a square Hermitian matrix as a complex array.
+    """Validate and return a square Hermitian matrix, or a stack of them, as
+    a complex array.
 
-    Raises InvalidMatrix when the input is not square or deviates from
-    Hermitian symmetry by more than 1e-12 relative to its largest entry.
+    Raises InvalidMatrix when the input is not square, has a non-finite
+    entry, or deviates from Hermitian symmetry by more than 1e-12 relative to
+    the largest entry of its matrix.
     """
     a = np.asarray(entries, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    dev = float(np.abs(a - a.conj().T).max())
-    if dev > 1e-12 * scale:
-        raise InvalidMatrix(f"matrix is not Hermitian: max deviation {dev:.3e}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidMatrix("matrix has a non-finite entry")
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    dev = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
+    if np.any(dev > 1e-12 * scale):
+        raise InvalidMatrix(f"matrix is not Hermitian: max deviation {dev.max():.3e}")
     return a
 
 
-def hermitian_eigenvalues(matrix, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi.
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending, by LAPACK.
 
-    Each pivot applies the exact small-angle unitary that annihilates one
-    off-diagonal pair, so the off-diagonal mass decreases monotonically and
-    the sweep converges quadratically.  Intended for the small dense orders
-    (n <= ~64) that arise in Pick matrices and grid Gramians.
+    A stack of shape (K, n, n) gives a (K, n) array, one ascending row per
+    matrix, from a single batched call.
     """
-    a = as_hermitian(matrix).copy()
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off2 = float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2))
-        if off2 <= (1e-15 * scale) ** 2:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                absb = abs(b)
-                if absb <= 1e-18 * scale:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                half = 0.5 * (app - aqq)
-                rad = np.hypot(half, absb)
-                sgn = 1.0 if half >= 0.0 else -1.0
-                # Eigenvector of the 2x2 block for the eigenvalue closer to
-                # a[p,p]; the quotient form avoids cancellation and keeps the
-                # rotation angle small, which cyclic convergence requires.
-                v2 = sgn * absb * absb / (rad + abs(half))
-                nv = np.hypot(absb, abs(v2))
-                g11 = b / nv
-                g21 = v2 / nv
-                g = np.array([[g11, -g21], [g21, np.conj(g11)]])
-                a[:, [p, q]] = a[:, [p, q]] @ g
-                a[[p, q], :] = g.conj().T @ a[[p, q], :]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    return np.sort(np.diag(a).real)
+    return np.linalg.eigvalsh(as_hermitian(matrix))
 
 
 def hermitian_min_eig(matrix) -> float:

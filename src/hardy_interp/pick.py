@@ -16,13 +16,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentNodes, KernelMismatch
-from .numerics import hermitian_min_eig, is_psd
+from .numerics import hermitian_eigenvalues, is_psd
 from .rkhs import (
     BlaschkeProduct,
     CyclicKernel,
     ModelVector,
     SzegoKernel,
     check_in_disk,
+    cyclic_grams,
     sample_model_sphere,
     tm_basis,
 )
@@ -89,8 +90,8 @@ class TangentialProblem:
         norms = np.linalg.norm(self.directions, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("every direction vector must be nonzero")
-        if not (self.bound > 0.0):
-            raise ValueError("norm bound must be positive")
+        if not (0.0 < self.bound < np.inf):
+            raise ValueError("norm bound must be positive and finite")
         if not isinstance(self.algebra, (FullHinf, CplusB)):
             raise ValueError("algebra must be FullHinf or CplusB")
 
@@ -114,7 +115,6 @@ class PickMatrix:
 class Verdict(str, Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass
@@ -234,24 +234,111 @@ def feasible_single(problem: TangentialProblem, kernel=None,
     )
 
 
-def _family_min_eig(coeffs: np.ndarray, basis_at_nodes: np.ndarray,
-                    inner_gram: np.ndarray, cmat: np.ndarray) -> float:
-    a = basis_at_nodes @ coeffs
-    kv = np.outer(a, np.conj(a)) + inner_gram
-    q = cmat * kv
-    return hermitian_min_eig(0.5 * (q + q.conj().T))
+# The refine starts from this many of the worst sweep samples, for at most
+# this many rounds.
+_REFINE_STARTS = 8
+_REFINE_ROUNDS = 200
+
+
+def _newton_steps(emat: np.ndarray, cmat: np.ndarray, c: np.ndarray,
+                  lam: np.ndarray, vecs: np.ndarray, fallback: np.ndarray):
+    """One Newton step of lambda_min(Q(c)) on the unit sphere per row of c.
+
+    The step c -> (c + T t) / |c + T t|, T an orthonormal basis of the
+    complement of c, is taken in real coordinates r of t.  Second-order
+    perturbation of the simple bottom eigenvalue (eigenpairs lam, vecs of
+    Q(c)) gives lambda(r) = lambda_0 + g.r + r^T M r + O(r^3) with
+
+        g_j = Re m_0j,   M = Re X - s I + Re sum_{k>0} m_k^* m_k / (lambda_0 - lambda_k),
+        m_kj = u_k* (C o (a phi_j* + phi_j a*)) u_0,   X_jl = u_0* (C o phi_j phi_l*) u_0,
+        s = u_0* (C o a a*) u_0,   a = E c,   phi_j = E T tau_j,
+
+    tau the real basis (e_1, ..., i e_1, ...) of C^(d-1).  The step solves
+    2 M r = -g on the positive eigenvalues of M.  Rows where the bottom
+    eigenvalue is multiple, so that M is not finite, take ``fallback``.
+    """
+    d = c.shape[1]
+    u = vecs[:, :, 0]
+    a = c @ emat.T
+    tangent = np.linalg.eigh(np.eye(d) - c[:, :, None] * np.conj(c)[:, None, :])[1][:, :, 1:]
+    phi = emat @ tangent
+    phi = np.concatenate([phi, 1j * phi], axis=2)
+    w = cmat @ (u * np.conj(a))[:, :, None]
+    m = np.conj(np.swapaxes(vecs, 1, 2)) @ (
+        (a[:, :, None] * cmat * u[:, None, :]) @ np.conj(phi) + w * phi)
+    x = np.swapaxes(np.conj(u)[:, :, None] * phi, 1, 2) @ cmat @ (u[:, :, None] * np.conj(phi))
+    s = np.einsum("ki,ij,kj->k", np.conj(u) * a, cmat, u * np.conj(a)).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = m[:, 1:, :] / (lam[:, :1] - lam[:, 1:])[:, :, None]
+        hess = (x + np.conj(np.swapaxes(m[:, 1:, :], 1, 2)) @ tail).real
+        hess -= s[:, None, None] * np.eye(hess.shape[1])
+        finite = np.all(np.isfinite(hess), axis=(1, 2))
+        hess[~finite] = np.eye(hess.shape[1])
+        curv, basis = np.linalg.eigh(0.5 * (hess + np.swapaxes(hess, 1, 2)))
+        inv = np.where(curv > 1e-12 * np.abs(curv).max(axis=1, keepdims=True), 0.5 / curv, 0.0)
+    r = -(basis * inv[:, None, :]) @ (np.swapaxes(basis, 1, 2) @ m[:, 0, :, None].real)
+    step = c + (tangent @ (r[:, : d - 1] + 1j * r[:, d - 1:]))[:, :, 0]
+    step /= np.linalg.norm(step, axis=1, keepdims=True)
+    return np.where(finite[:, None], step, fallback)
+
+
+def _refine_minimum(product: BlaschkeProduct, points: np.ndarray,
+                    cmat: np.ndarray, starts: np.ndarray):
+    """Lower the minimum Pick eigenvalue over unit model vectors c, for
+    every start row at once.
+
+    With Q(c) = C o (E c c* E* + G), each round offers every row two
+    successors and moves it to the lower one.  The alternating step takes u
+    as the bottom eigenvector of Q(c), then c as the bottom eigenvector of
+    the d x d form H(u) = (A^T C B)^T, A = diag(conj u) E,
+    B = diag(u) conj(E), since u* Q(c) u - u* (C o G) u = c* H(u) c; it
+    cannot raise the minimum eigenvalue, so no round does, but it converges
+    only linearly, and slowly where the minimum is flat.  The Newton step
+    (_newton_steps) converges quadratically near a minimum.  A round that
+    fails to lower the minimum by more than the rounding error of the
+    eigenvalues (n eps max|Q|) ends the refine.  Returns the lowest
+    eigenvalue seen and its unit vector c.
+    """
+    emat = tm_basis(product).eval_matrix(points)
+    rows = starts.shape[0]
+    best_eig, best_c = np.inf, None
+    c = starts
+    for _ in range(_REFINE_ROUNDS):
+        q = cmat * cyclic_grams(product, points, c)
+        lam, vecs = np.linalg.eigh(q)
+        if c.shape[0] > rows:
+            keep = np.arange(rows) + rows * (lam[rows:, 0] < lam[:rows, 0])
+            c, lam, vecs = c[keep], lam[keep], vecs[keep]
+        k = int(np.argmin(lam[:, 0]))
+        lowered = best_eig - lam[k, 0]
+        if lowered > 0.0:
+            best_eig, best_c = float(lam[k, 0]), c[k]
+        if not lowered > points.size * np.finfo(float).eps * np.abs(q).max():
+            break
+        u = vecs[:, :, 0]
+        a = np.conj(u)[:, :, None] * emat
+        b = u[:, :, None] * np.conj(emat)
+        h = np.swapaxes(np.swapaxes(a, 1, 2) @ cmat @ b, 1, 2)
+        alternated = np.linalg.eigh(0.5 * (h + np.conj(np.swapaxes(h, 1, 2))))[1][:, :, 0]
+        c = alternated if c.shape[1] == 1 else np.concatenate(
+            [alternated, _newton_steps(emat, cmat, c, lam, vecs, alternated)])
+    return best_eig, best_c
 
 
 def feasible_family(problem: TangentialProblem, samples: int = 512,
                     refine: bool = True, tol: float = 1e-8,
-                    seed: int = 0, workers: int = 1) -> FeasibilityReport:
+                    seed: int = 0) -> FeasibilityReport:
     """Kernel-family feasibility sweep for C + B*H-infinity.
 
-    Evaluates the Pick minimum eigenvalue over a deterministic sweep of unit
-    model-space vectors; with ``refine`` the worst sample seeds a projected
-    descent on the minimum eigenvalue over the sphere (50 steps with step
-    halving).  Feasible means no violation was found at the stated sweep
-    size; Infeasible carries the witness vector.
+    Evaluates the Pick minimum eigenvalue over a deterministic sweep of
+    ``samples`` unit model-space vectors, with every Gram matrix and every
+    eigenvalue of the sweep computed in one batch.  With ``refine`` the
+    worst samples seed an exact minimisation of the minimum eigenvalue over
+    the unit sphere: alternating steps (bottom eigenvector in the nodes,
+    then bottom eigenvector in the model vector) with a Newton step from
+    analytic eigenvalue derivatives beside each.  Feasible means no violation
+    was found at the stated sweep size; Infeasible carries the witness
+    vector.
     """
     if isinstance(problem.algebra, FullHinf):
         raise KernelMismatch("family sweep applies to C+B*H-infinity; "
@@ -260,72 +347,22 @@ def feasible_family(problem: TangentialProblem, samples: int = 512,
         raise ValueError("samples must be at least 1")
     _check_duplicate_consistency(problem)
     product = problem.algebra.product
-    basis = tm_basis(product)
     pts = problem.points
-    nodes_eval = basis.eval_matrix(pts)
-    bvals = product(pts)
-    szego = 1.0 / (1.0 - pts[:, None] * np.conj(pts)[None, :])
-    inner_gram = (bvals[:, None] * np.conj(bvals)[None, :]) * szego
     cmat = _coefficient_matrix(problem)
 
-    vectors = sample_model_sphere(product, samples, seed)
-    coeff_list = [v.coefficients for v in vectors]
-
-    def eig_of(c):
-        return _family_min_eig(c, nodes_eval, inner_gram, cmat)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            eigs = list(pool.map(eig_of, coeff_list))
-    else:
-        eigs = [eig_of(c) for c in coeff_list]
-    worst_idx = int(np.argmin(eigs))
-    worst_eig = float(eigs[worst_idx])
-    worst_c = coeff_list[worst_idx].copy()
+    coeffs = np.array([v.coefficients for v in sample_model_sphere(product, samples, seed)])
+    eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, pts, coeffs))[:, 0]
+    order = np.argsort(eigs, kind="stable")
+    worst_eig = float(eigs[order[0]])
+    worst_c = coeffs[order[0]]
 
     if refine:
-        # projected descent on the minimum eigenvalue over the unit sphere;
-        # gradients by central differences in the real coordinates
-        c = worst_c.copy()
-        val = worst_eig
-        step = 0.1
-        d = c.size
-        h = 1e-6
-
-        def renorm(vec):
-            return vec / np.linalg.norm(vec)
-
-        for _ in range(50):
-            grad = np.zeros(d, dtype=complex)
-            for j in range(d):
-                unit = np.zeros(d, dtype=complex)
-                unit[j] = 1.0
-                g_re = (eig_of(renorm(c + h * unit)) - eig_of(renorm(c - h * unit))) / (2 * h)
-                g_im = (eig_of(renorm(c + 1j * h * unit)) - eig_of(renorm(c - 1j * h * unit))) / (2 * h)
-                grad[j] = g_re + 1j * g_im
-            gn = np.linalg.norm(grad)
-            if gn < 1e-14:
-                break
-            moved = False
-            while step > 1e-12:
-                cand = c - step * grad / gn
-                cand = cand / np.linalg.norm(cand)
-                cand_val = eig_of(cand)
-                if cand_val < val - 1e-15:
-                    c, val = cand, cand_val
-                    step *= 1.5
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if val < worst_eig:
-            worst_eig, worst_c = val, c
+        eig, c = _refine_minimum(product, pts, cmat, coeffs[order[:_REFINE_STARTS]])
+        if eig < worst_eig:
+            worst_eig, worst_c = eig, c
 
     feasible = worst_eig >= -tol
-    witness = None if feasible else ModelVector(basis, worst_c)
+    witness = None if feasible else ModelVector(tm_basis(product), worst_c)
     return FeasibilityReport(
         verdict=Verdict.FEASIBLE if feasible else Verdict.INFEASIBLE,
         worst_min_eig=worst_eig,

@@ -23,9 +23,8 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ProblemFileError
 
@@ -45,7 +44,6 @@ _SCALAR_KEYS = {
     "samples": int,
     "seed": int,
     "rank": int,
-    "count": int,
 }
 _WORD_KEYS = ("algebra", "kernel", "method", "mode")
 
@@ -93,6 +91,9 @@ def _floats(tokens, lineno, key, expected=None):
     except ValueError:
         raise ProblemFileError(f"{key}: expected decimal numbers, got {tokens}",
                                line=lineno) from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ProblemFileError(f"{key}: expected finite numbers, got {tokens}",
+                               line=lineno)
     if expected is not None and len(vals) != expected:
         raise ProblemFileError(
             f"{key}: expected {expected} numbers, got {len(vals)}", line=lineno)
@@ -211,7 +212,3 @@ def _validate_shapes(pf: ProblemFile) -> None:
                                    "there are arow lines")
         if any(len(r) != len(pf.target_rows[0]) for r in mat):
             raise ProblemFileError("srow lines must match the arow width")
-
-
-def as_array(rows) -> np.ndarray:
-    return np.array(rows, dtype=complex)

@@ -1,19 +1,17 @@
 """Disk-analytic primitives.
 
 Finite Blaschke products, the Szego and model-space kernels, the cyclic
-subspace kernel family attached to C + B*H-infinity, Takenaka-Malmquist
+subspace kernel family attached to C + B*H-infinity (with Gram matrices
+batched over many kernels of the family at once), Takenaka-Malmquist
 orthonormal bases, outer functions built from boundary modulus, and a
 deterministic sweep of unit model-space vectors.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import NotLogIntegrable, NotNormalized
 from .numerics import QuadratureRule
@@ -28,6 +26,7 @@ __all__ = [
     "tm_basis",
     "ModelVector",
     "cyclic_kernel",
+    "cyclic_grams",
     "SzegoKernel",
     "ModelSpaceKernel",
     "CyclicKernel",
@@ -38,9 +37,9 @@ __all__ = [
 
 
 def check_in_disk(points, name: str = "point") -> np.ndarray:
-    """Validate that every value has modulus strictly below 1."""
+    """Validate that every value has modulus strictly below 1 (NaN fails)."""
     z = np.atleast_1d(np.asarray(points, dtype=complex))
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):
         worst = float(np.abs(z).max())
         raise ValueError(f"{name} must lie in the open unit disk, got modulus {worst}")
     return z
@@ -58,10 +57,10 @@ class BlaschkeProduct:
         zs = tuple(complex(a) for a in self.zeros)
         if len(zs) == 0:
             raise ValueError("a Blaschke product needs at least one zero")
-        if any(abs(a) >= 1.0 for a in zs):
+        if not all(abs(a) < 1.0 for a in zs):
             raise ValueError("Blaschke zeros must lie in the open unit disk")
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise ValueError(f"constant must be unimodular, got |c| = {abs(c)}")
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "constant", c)
@@ -188,6 +187,24 @@ def cyclic_kernel(product: BlaschkeProduct, vector: ModelVector, z, w):
     return complex(val[0]) if val.size == 1 and np.isscalar(z) else np.squeeze(val)[()]
 
 
+def cyclic_grams(product: BlaschkeProduct, points, coeffs) -> np.ndarray:
+    """Gram matrices of the cyclic kernels of K model vectors at once.
+
+    Row k of ``coeffs`` (shape (K, d), or (d,) for K = 1) holds the basis
+    coefficients of v_k; the result has shape (K, n, n) with
+
+        G[k, i, j] = v_k(z_i) conj(v_k(z_j)) + B(z_i) conj(B(z_j)) / (1 - z_i conj(z_j)),
+
+    each exactly Hermitian.  The caller is responsible for unit rows.
+    """
+    z = check_in_disk(points, "points")
+    values = np.atleast_2d(coeffs) @ tm_basis(product).eval_matrix(z).T  # (K, n)
+    bz = product(z)
+    inner = (bz[:, None] * np.conj(bz)[None, :]) / (1.0 - z[:, None] * np.conj(z)[None, :])
+    g = values[:, :, None] * np.conj(values)[:, None, :] + inner
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
 class SzegoKernel:
     """Evaluable Szego kernel with a Gram-matrix helper."""
 
@@ -236,13 +253,7 @@ class CyclicKernel:
         return cyclic_kernel(self.product, self.vector, z, w)
 
     def gram(self, points) -> np.ndarray:
-        z = check_in_disk(points, "points")
-        vz = self.vector.evaluate(z)
-        bz = self.product(z)
-        g = vz[:, None] * np.conj(vz)[None, :] + (
-            bz[:, None] * np.conj(bz)[None, :]
-        ) / (1.0 - z[:, None] * np.conj(z)[None, :])
-        return 0.5 * (g + g.conj().T)
+        return cyclic_grams(self.product, points, self.vector.coefficients)[0]
 
 
 # A Fourier coefficient below this fraction of the largest counts as zero
@@ -417,29 +428,17 @@ def outer_from_modulus(samples, rule: QuadratureRule,
 
 
 def sample_model_sphere(product: BlaschkeProduct, count: int, seed: int):
-    """Deterministic low-discrepancy unit vectors in the model space.
+    """Deterministic pseudo-random unit vectors in the model space.
 
-    A scrambled Sobol sequence in 2d real dimensions is pushed through the
-    normal quantile and normalized, giving a well-spread deterministic
-    sample of the unit sphere parameterizing the cyclic kernel family.
+    Rows of independent complex Gaussians from ``numpy.random.default_rng(seed)``,
+    normalized, are uniformly distributed on the unit sphere parameterizing
+    the cyclic kernel family; the same seed gives the same vectors.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     basis = tm_basis(product)
     d = basis.dimension
-    sampler = qmc.Sobol(d=2 * d, scramble=True, seed=int(seed))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        u = sampler.random(count)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    normals = ndtri(u)
-    vecs = normals[:, :d] + 1j * normals[:, d:]
-    out = []
-    for row in vecs:
-        nrm = np.linalg.norm(row)
-        if nrm < 1e-12:
-            row = np.zeros(d, dtype=complex)
-            row[0] = 1.0
-            nrm = 1.0
-        out.append(ModelVector(basis, row / nrm))
-    return out
+    rng = np.random.default_rng(int(seed))
+    rows = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return [ModelVector(basis, row) for row in rows]

@@ -131,6 +131,28 @@ class TestCommands:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("node 0.5 0", "node nan 0", 10),
+        ("alpha 1", "alpha inf", 6),
+        ("samples 64", "samples inf", 7),
+    ])
+    def test_non_finite_number_exit_two(self, tmp_path, capsys, old, new, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(FAMILY_FILE.replace(old, new))
+        code, out, err = run_cli(["feasible", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"line {line}:" in err
+        assert "Traceback" not in err
+
+    def test_single_kernel_echoes_only_tol(self, tmp_path, capsys):
+        f = tmp_path / "ok.txt"
+        f.write_text(FEASIBLE_OK)
+        code, out, _ = run_cli(["feasible", str(f)], capsys)
+        assert code == 0
+        config = [ln.split()[0] for ln in out.splitlines() if ln.startswith("config.")]
+        assert config == ["config.tol"]
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(["feasible", "/nonexistent/x.txt"], capsys)
         assert code == 2

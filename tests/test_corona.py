@@ -32,6 +32,11 @@ def pair_z_half():
 
 
 class TestCoronaCheck:
+    def test_delta_must_be_positive_and_finite(self):
+        for delta in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                CoronaProblem(pair_z_half(), delta)
+
     def test_unit_row_passes_everything(self):
         func = hinf_function([[1.0], [0.0]], 0)
         problem = CoronaProblem(func, 1.0)

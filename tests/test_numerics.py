@@ -45,6 +45,27 @@ class TestHermitianMinEig:
         with pytest.raises(InvalidMatrix):
             hermitian_min_eig(np.ones((2, 3)))
 
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidMatrix):
+                hermitian_min_eig([[bad, 1.0], [1.0, 2.0]])
+            with pytest.raises(InvalidMatrix):
+                hermitian_eigenvalues(np.stack([np.eye(2), [[1.0, bad], [bad, 1.0]]]))
+
+    def test_stack_matches_per_matrix_and_charpoly(self):
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_hermitian(rng, 5) for _ in range(12)])
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (12, 5)
+        for h, row in zip(stack, eigs):
+            assert np.abs(row - hermitian_eigenvalues(h)).max() < 1e-12
+            assert row[0] == pytest.approx(charpoly_min_eig_oracle(h), abs=1e-9)
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        stack = np.stack([np.eye(2), [[1.0, 2.0], [3.0, 1.0]]])
+        with pytest.raises(InvalidMatrix):
+            hermitian_eigenvalues(stack)
+
     def test_full_spectrum_sorted(self):
         rng = np.random.default_rng(1)
         h = random_hermitian(rng, 6)

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_disk_points, two_node_feasible_oracle
+from conftest import charpoly_min_eig_oracle, random_disk_points, two_node_feasible_oracle
 from hardy_interp import (
     BlaschkeProduct,
     CplusB,
+    CyclicKernel,
     FullHinf,
     InconsistentNodes,
     KernelMismatch,
     ModelSpaceKernel,
+    ModelVector,
     SzegoKernel,
     TangentialProblem,
     Verdict,
@@ -22,6 +24,7 @@ from hardy_interp import (
     hermitian_min_eig,
     is_psd,
     scaled_single_kernel_check,
+    tm_basis,
     unit_constant_projection,
 )
 
@@ -38,6 +41,11 @@ def scalar_problem(points, targets, bound=1.0, algebra=None):
 
 
 class TestBuildPickMatrix:
+    def test_bound_must_be_positive_and_finite(self):
+        for bound in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                scalar_problem([0.0, 0.5], [0.0, 0.4], bound=bound)
+
     def test_boundary_one_node(self):
         p = TangentialProblem(points=[0.0], directions=[[1.0, 0.0]],
                               targets=[1.0], bound=1.0, algebra=FullHinf())
@@ -180,6 +188,60 @@ class TestFeasibleFamily:
         coarse = feasible_family(p, samples=64, refine=False)
         refined = feasible_family(p, samples=64, refine=True)
         assert refined.worst_min_eig <= coarse.worst_min_eig + 1e-12
+
+    def test_refine_reaches_a_flat_minimum(self):
+        # f(0) = 0, f(x) = w in C + z^3 H-infinity with alpha above
+        # |w| / |x|^3: the family minimum is exactly 0, attained where
+        # v(0) = 0, and alternating steps alone approach it only linearly
+        b = BlaschkeProduct((0.0, 0.0, 0.0))
+        x = 0.45 * np.exp(0.3j)
+        p = scalar_problem([0.0, x], [0.0, 0.5 * abs(x) ** 3], bound=0.6,
+                           algebra=CplusB(b))
+        fam = feasible_family(p)
+        assert fam.verdict is Verdict.FEASIBLE
+        assert abs(fam.worst_min_eig) <= 1e-14
+
+
+def independent_sweep_min(problem, count=4096, seed=99, confirm=8):
+    """Smallest Pick eigenvalue over ``count`` random unit model vectors,
+    each Pick matrix assembled through CyclicKernel.gram; numpy's eigvalsh
+    picks the ``confirm`` lowest members and the char-poly oracle evaluates
+    them."""
+    product = problem.algebra.product
+    basis = tm_basis(product)
+    rng = np.random.default_rng(seed)
+    d = basis.dimension
+    vecs = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    mats = np.array([
+        build_pick_matrix(problem, CyclicKernel(product, ModelVector(basis, c))).matrix
+        for c in vecs
+    ])
+    lows = np.argsort(np.linalg.eigvalsh(mats)[:, 0])[:confirm]
+    return min(charpoly_min_eig_oracle(mats[k]) for k in lows)
+
+
+class TestFamilyAgainstIndependentSweep:
+    def check(self, problem):
+        family = feasible_family(problem)
+        reference = independent_sweep_min(problem)
+        assert family.verdict is Verdict.INFEASIBLE
+        assert family.worst_min_eig <= reference + 1e-10
+        witness = CyclicKernel(problem.algebra.product, family.worst_parameter)
+        own = charpoly_min_eig_oracle(build_pick_matrix(problem, witness).matrix)
+        assert family.worst_min_eig == pytest.approx(own, abs=1e-9)
+
+    def test_criterion_four_data(self):
+        b = BlaschkeProduct((0.0, 0.0))
+        self.check(scalar_problem([0.0, 0.5], [0.0, 0.5], algebra=CplusB(b)))
+
+    def test_six_nodes_degree_three(self):
+        rng = np.random.default_rng(61)
+        b3 = BlaschkeProduct((0.3 + 0.3j, -0.5, 0.0))
+        pts = random_disk_points(rng, 6, radius=0.8, min_sep=0.2)
+        dirs = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        w = 0.5 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+        self.check(TangentialProblem(pts, dirs, w, 1.0, CplusB(b3)))
 
 
 class TestScaledSingleKernel:

@@ -15,6 +15,7 @@ from hardy_interp import (
     NotNormalized,
     SzegoKernel,
     circle_integral,
+    cyclic_grams,
     cyclic_kernel,
     is_psd,
     model_space_kernel,
@@ -51,6 +52,10 @@ class TestBlaschke:
             BlaschkeProduct((1.0,))
         with pytest.raises(ValueError):
             BlaschkeProduct((0.5,), constant=2.0)
+        with pytest.raises(ValueError):
+            BlaschkeProduct((complex(np.nan, 0.0),))
+        with pytest.raises(ValueError):
+            BlaschkeProduct((0.5,), constant=complex(np.nan, 0.0))
 
 
 class TestKernels:
@@ -65,6 +70,8 @@ class TestKernels:
     def test_szego_rejects_boundary(self):
         with pytest.raises(ValueError):
             szego_kernel(1.0, 0.0)
+        with pytest.raises(ValueError):
+            szego_kernel(complex(np.nan, 0.0), 0.0)
 
     def test_model_kernel_b_equals_z(self):
         b = BlaschkeProduct((0.0,))
@@ -151,6 +158,35 @@ class TestKernels:
             assert is_psd(gram, 1e-8).is_psd
             scaled = np.outer(fvals, np.conj(fvals)) * gram
             assert is_psd(0.5 * (scaled + scaled.conj().T), 1e-8).is_psd
+
+
+class TestCyclicGrams:
+    def test_stack_matches_per_vector_gram_and_pairwise_kernel(self):
+        rng = np.random.default_rng(23)
+        b = BlaschkeProduct((0.3 + 0.3j, -0.5, 0.0))
+        basis = tm_basis(b)
+        pts = random_disk_points(rng, 6, radius=0.9)
+        coeffs = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
+        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+        stack = cyclic_grams(b, pts, coeffs)
+        assert stack.shape == (20, 6, 6)
+        for c, g in zip(coeffs, stack):
+            v = ModelVector(basis, c)
+            assert np.abs(g - CyclicKernel(b, v).gram(pts)).max() < 1e-13
+            pairwise = np.array([[cyclic_kernel(b, v, z, w) for w in pts] for z in pts])
+            assert np.abs(g - pairwise).max() < 1e-12
+            assert np.array_equal(g, g.conj().T)
+
+    def test_single_vector_gives_stack_of_one(self):
+        b = BlaschkeProduct((0.0, 0.0))
+        pts = np.array([0.1, -0.2j, 0.5])
+        assert cyclic_grams(b, pts, [1.0, 0.0]).shape == (1, 3, 3)
+
+    def test_rejects_points_outside_the_disk(self):
+        b = BlaschkeProduct((0.0,))
+        for bad in (1.0, np.nan):
+            with pytest.raises(ValueError):
+                cyclic_grams(b, [0.1, bad], [[1.0]])
 
 
 class TestTakenakaMalmquist:
