@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -373,15 +374,12 @@ def _cmd_distance(pf: ProblemFile, args, cert: Certificate) -> int:
     basis = [np.array(m, dtype=complex) for m in pf.basis_matrices]
     rank = pf.scalars.get("rank", target.shape[1])
     problem = TruncatedDistanceProblem(target, basis, rank)
-    tol = _scalar(pf, args, "tol", 1e-8)
-    seed = int(_scalar(pf, args, "seed", 0))
-    primal = distance_primal(problem, tol, seed=seed)
-    dual = distance_dual(problem, tol, seed=seed)
+    primal = distance_primal(problem)
+    dual = distance_dual(problem)
     cert.add("primal", primal)
     cert.add("dual", dual)
     cert.add("gap", primal - dual)
     cert.add("rank", problem.rank)
-    _echo_config(cert, tol=tol, seed=seed)
     return 0
 
 
@@ -415,6 +413,13 @@ _COMMANDS = {
 }
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardy-interp",
@@ -425,10 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run a {name} problem file")
         p.add_argument("file", help="problem file path")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_finite_float, default=None)
         p.add_argument("--grid-radial", type=int, default=None)
         p.add_argument("--grid-angular", type=int, default=None)
-        p.add_argument("--grid-radius", type=float, default=None)
+        p.add_argument("--grid-radius", type=_finite_float, default=None)
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)

@@ -43,8 +43,8 @@ class CoronaProblem:
     delta: float
 
     def __post_init__(self):
-        if not (0.0 < self.delta < np.inf):
-            raise ValueError("delta must be positive and finite")
+        if not (0.0 < self.delta < np.sqrt(np.finfo(float).max)):
+            raise ValueError("delta must be positive, with a finite square")
 
     @property
     def algebra(self):

@@ -70,214 +70,118 @@ def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _golden_min(fun, center: float, width: float = 1.0, iters: int = 40):
-    """Golden-section minimum of a 1-D convex slice around center."""
-    lo, hi = center - width, center + width
-    f_center = fun(center)
-    f_lo, f_hi = fun(lo), fun(hi)
-    for _ in range(40):
-        grew = False
-        if f_lo < f_center:
-            lo -= (hi - lo)
-            f_lo = fun(lo)
-            grew = True
-        if f_hi < f_center:
-            hi += (hi - lo)
-            f_hi = fun(hi)
-            grew = True
-        if not grew:
-            break
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - ratio * (b - a)
-    c2 = a + ratio * (b - a)
-    f1, f2 = fun(c1), fun(c2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - ratio * (b - a)
-            f1 = fun(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + ratio * (b - a)
-            f2 = fun(c2)
-    x = 0.5 * (a + b)
-    return (x, fun(x)) if fun(x) < f_center else (center, f_center)
+# Smoothing levels of the soft-max continuation; the last one sets both the
+# primal's accuracy (error of order mu * log n) and the dual's seed weights.
+_MUS = (1e-2, 1e-4, 1e-6, 1e-8)
+
+# Share of the dual seed spread evenly over all right singular vectors, so
+# the seed has full Schmidt rank.  A rank-one seed (pure top singular
+# vector) can sit where the span of (S_k (x) I) h1 degenerates and phi is
+# discontinuous: on 8 of the 100 criterion-6 instances such seeds returned
+# duals between 3e-7 and 2e-4 instead of the distance (e.g. n2 = 3, n1 = 2,
+# three basis matrices: 2.7e-7 against 0.709).
+_SEED_MIX = 1e-3
 
 
-def _smoothed_polish(problem: TruncatedDistanceProblem, theta0: np.ndarray) -> np.ndarray:
-    """L-BFGS descent on the soft-max of singular values, mu-continuation.
+def _softmax(problem: TruncatedDistanceProblem, theta: np.ndarray, mu: float):
+    """Soft-max mu * log sum exp(sigma_i / mu) of the singular values of
+    A + sum theta_k S_k, its gradient in theta, the soft-max weights and the
+    right singular vectors (rows of vh)."""
+    u, sv, vh = np.linalg.svd(_combine(problem, theta))
+    weights = np.exp((sv - sv[0]) / mu)
+    total = float(weights.sum())
+    weights /= total
+    grad = np.empty(2 * len(problem.basis))
+    for k, b in enumerate(problem.basis):
+        inner = np.einsum("ij,ij->j", u[:, :sv.size].conj(), b @ vh[:sv.size].conj().T)
+        grad[2 * k] = float(weights @ inner.real)
+        grad[2 * k + 1] = float(weights @ -inner.imag)
+    return sv[0] + mu * np.log(total), grad, weights, vh
 
-    The exponential smoothing of the largest singular value is convex and
-    differentiable, so this reliably escapes the nonsmooth ties where pure
-    coordinate descent stalls; the final error is of order mu * log(n).
+
+def _minimiser(problem: TruncatedDistanceProblem) -> np.ndarray:
+    """Coefficients theta minimizing the operator norm of A + sum theta_k S_k.
+
+    L-BFGS descent on the soft-max of the singular values, started at
+    theta = 0 and continued through the smoothing levels in _MUS.  The
+    soft-max is convex and differentiable, so one start suffices and the
+    nonsmooth ties of the top singular value cause no stalls.
     """
-    s = len(problem.basis)
-
-    def f_mu(theta, mu):
-        m = _combine(problem, theta)
-        u, sv, vh = np.linalg.svd(m)
-        shifted = (sv - sv[0]) / mu
-        weights = np.exp(shifted)
-        weights /= weights.sum()
-        val = mu * np.log(np.sum(np.exp(shifted))) + sv[0]
-        grad = np.zeros(2 * s)
-        for k, b in enumerate(problem.basis):
-            inner = np.array([np.vdot(u[:, i], b @ vh[i].conj()) for i in range(sv.size)])
-            grad[2 * k] = float(np.sum(weights * inner.real))
-            grad[2 * k + 1] = float(np.sum(weights * (-inner.imag)))
-        return val, grad
-
-    theta = np.asarray(theta0, dtype=float).copy()
-    for mu in (1e-2, 1e-4, 1e-6, 1e-8):
-        res = scipy.optimize.minimize(
-            lambda t: f_mu(t, mu), theta, jac=True, method="L-BFGS-B",
+    theta = np.zeros(2 * len(problem.basis))
+    if not problem.basis:
+        return theta
+    for mu in _MUS:
+        theta = scipy.optimize.minimize(
+            lambda t: _softmax(problem, t, mu)[:2], theta, jac=True, method="L-BFGS-B",
             options=dict(maxiter=500, ftol=1e-18, gtol=1e-14),
-        )
-        theta = res.x
+        ).x
     return theta
 
 
-def distance_primal(problem: TruncatedDistanceProblem, tol: float = 1e-8,
-                    restarts: int = 2, seed: int = 0) -> float:
+def distance_primal(problem: TruncatedDistanceProblem) -> float:
     """Distance by direct minimization of the operator norm over the span.
 
-    Cyclic coordinate descent (golden-section line minimizations in the
-    real coordinates of the coefficients) with random restarts, followed by
-    a smoothed-norm descent that resolves the singular-value ties at which
-    coordinate steps alone can stall.  The returned value is the exact
-    operator norm at the best coefficients found, hence always an upper
-    bound of the true distance.
+    Returns the exact operator norm at the smoothed-descent minimiser, or
+    ||A|| (theta = 0) if that is lower, so the value is always an upper
+    bound of the true distance and never exceeds ||A||.
     """
-    s = len(problem.basis)
-    if s == 0:
-        return _opnorm(problem.target)
-    rng = np.random.default_rng(seed)
-    best_val = np.inf
-    for trial in range(max(1, restarts)):
-        theta = np.zeros(2 * s) if trial == 0 else rng.normal(size=2 * s)
-        val = _opnorm(_combine(problem, theta))
-        for _ in range(12):
-            gain = 0.0
-            for i in range(2 * s):
-                def slice_fun(x, i=i):
-                    t = theta.copy()
-                    t[i] = x
-                    return _opnorm(_combine(problem, t))
-
-                xi, vi = _golden_min(slice_fun, theta[i])
-                if vi < val - 1e-15:
-                    gain += val - vi
-                    theta[i] = xi
-                    val = vi
-            if gain < max(tol * 1e-3, 1e-13):
-                break
-        theta = _smoothed_polish(problem, theta)
-        val = _opnorm(_combine(problem, theta))
-        if val < best_val:
-            best_val = val
-    return float(best_val)
+    return min(_opnorm(problem.target), _opnorm(_combine(problem, _minimiser(problem))))
 
 
-def distance_dual(problem: TruncatedDistanceProblem, tol: float = 1e-8,
-                  starts: int = 64, steps: int = 500, seed: int = 0) -> float:
+def distance_dual(problem: TruncatedDistanceProblem) -> float:
     """Distance by the cyclic-vector dual formula.
 
     Maximizes phi(h1) = || P_perp (A (x) I) h1 || over unit h1, where
     P_perp projects onto the orthocomplement of span{(S_k (x) I) h1}; the
-    optimal h2 is the normalized residual, so every iterate yields a valid
-    feasible value and the result is always a lower bound of the distance.
+    optimal h2 is the normalized residual, so every value returned is phi
+    at a concrete h1 and a lower bound of the distance.
 
-    A batched multistart gradient ascent explores the sphere; the best
-    starts are polished by quasi-Newton ascent of the scale-invariant form
-    phi(h)/||h||, which is smooth away from rank drops.
+    The seed comes from the primal: at the minimiser, the soft-max weights
+    w_i on the right singular vectors v_i of A + sum theta_k S_k form an
+    optimality density, tr(diag(w) U* S_k V) = 0, and its purification
+    h1 = sum_i sqrt(w_i) v_i (x) e_i attains the top singular value.  The
+    seed is mixed with a little of the uniform density (_SEED_MIX) and
+    polished once by quasi-Newton ascent of phi(h)/||h||.
     """
-    n2, n1 = problem.dims
+    _, n1 = problem.dims
     r = problem.rank
     s = len(problem.basis)
     big_b = np.kron(problem.target, np.eye(r))
     big_s = [np.kron(b, np.eye(r)) for b in problem.basis]
     dim = n1 * r
 
-    def residual_split(h):
-        bh = big_b @ h
-        if not s:
-            return bh, None
-        w = np.column_stack([c @ h for c in big_s])
-        beta, *_ = np.linalg.lstsq(w, bh, rcond=None)
-        return bh - w @ beta, beta
-
     def phi_grad(h):
-        y, beta = residual_split(h)
+        y = big_b @ h
+        if s:
+            w = np.column_stack([c @ h for c in big_s])
+            beta, *_ = np.linalg.lstsq(w, y, rcond=None)
+            y = y - w @ beta
         phi = float(np.linalg.norm(y))
         if phi < 1e-300:
             return 0.0, np.zeros(dim, dtype=complex)
         g = big_b.conj().T @ y
-        if s:
-            for a, c in enumerate(big_s):
-                g -= np.conj(beta[a]) * (c.conj().T @ y)
+        for a, c in enumerate(big_s):
+            g -= np.conj(beta[a]) * (c.conj().T @ y)
         return phi, g / phi
 
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(dim, starts)) + 1j * rng.normal(size=(dim, starts))
-    h /= np.linalg.norm(h, axis=0, keepdims=True)
+    def neg_quotient(x):
+        hh = x[:dim] + 1j * x[dim:]
+        nh = float(np.linalg.norm(hh))
+        phi, g = phi_grad(hh)
+        if nh < 1e-300 or phi == 0.0:
+            return 0.0, np.zeros_like(x)
+        gq = g / nh - (phi / nh ** 3) * hh
+        return -phi / nh, -np.concatenate([gq.real, gq.imag])
 
-    def phi_batch_grad(hmat):
-        bh = big_b @ hmat
-        if s:
-            w = np.stack([c @ hmat for c in big_s], axis=1)
-            gram = np.einsum("nak,nbk->kab", w.conj(), w)
-            rhs = np.einsum("nak,nk->ka", w.conj(), bh)
-            beta = np.linalg.solve(gram + 1e-30 * np.eye(s)[None], rhs[..., None])[..., 0]
-            y = bh - np.einsum("nak,ka->nk", w, beta)
-        else:
-            y = bh
-            beta = None
-        phis = np.linalg.norm(y, axis=0)
-        grads = big_b.conj().T @ y
-        if s:
-            for a, c in enumerate(big_s):
-                grads -= np.conj(beta[:, a])[None, :] * (c.conj().T @ y)
-        grads /= np.maximum(phis, 1e-300)[None, :]
-        return phis, grads
-
-    step = np.full(starts, 0.15)
-    phis, grads = phi_batch_grad(h)
-    for _ in range(steps):
-        along = np.real(np.sum(np.conj(h) * grads, axis=0))
-        tangent = grads - h * along[None, :]
-        if float(np.linalg.norm(tangent, axis=0).max()) < 1e-13:
-            break
-        trial = h + step[None, :] * tangent
-        trial /= np.linalg.norm(trial, axis=0, keepdims=True)
-        phis_new, grads_new = phi_batch_grad(trial)
-        accept = phis_new >= phis
-        step = np.where(accept, step * 1.1, step * 0.5)
-        h = np.where(accept[None, :], trial, h)
-        grads = np.where(accept[None, :], grads_new, grads)
-        phis = np.maximum(phis, phis_new)
-        if float(step.max()) < 1e-12:
-            break
-
-    best = float(phis.max())
-    polish = min(8, starts)
-    for j in np.argsort(phis)[::-1][:polish]:
-        h0 = h[:, j]
-        x0 = np.concatenate([h0.real, h0.imag])
-
-        def neg_quotient(x):
-            hh = x[:dim] + 1j * x[dim:]
-            nh = float(np.linalg.norm(hh))
-            phi, g = phi_grad(hh)
-            if nh < 1e-300 or phi == 0.0:
-                return 0.0, np.zeros_like(x)
-            val = phi / nh
-            gq = g / nh - (phi / nh ** 3) * hh
-            return -val, -np.concatenate([gq.real, gq.imag])
-
-        res = scipy.optimize.minimize(
-            neg_quotient, x0, jac=True, method="L-BFGS-B",
-            options=dict(maxiter=300, ftol=1e-18, gtol=1e-14),
-        )
-        best = max(best, float(-res.fun))
-    return best
+    _, _, weights, vh = _softmax(problem, _minimiser(problem), _MUS[-1])
+    density = np.zeros(n1)
+    density[:weights.size] = weights
+    density = (1.0 - _SEED_MIX) * density + _SEED_MIX / n1
+    seed = np.zeros((n1, r), dtype=complex)
+    seed[:, :n1] = vh.conj().T * np.sqrt(density)
+    h1 = seed.reshape(-1)
+    res = scipy.optimize.minimize(
+        neg_quotient, np.concatenate([h1.real, h1.imag]), jac=True, method="L-BFGS-B",
+        options=dict(maxiter=300, ftol=1e-18, gtol=1e-14),
+    )
+    return max(phi_grad(h1)[0], float(-res.fun))

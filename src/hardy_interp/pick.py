@@ -90,8 +90,8 @@ class TangentialProblem:
         norms = np.linalg.norm(self.directions, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("every direction vector must be nonzero")
-        if not (0.0 < self.bound < np.inf):
-            raise ValueError("norm bound must be positive and finite")
+        if not (0.0 < self.bound < np.sqrt(np.finfo(float).max)):
+            raise ValueError("norm bound must be positive, with a finite square")
         if not isinstance(self.algebra, (FullHinf, CplusB)):
             raise ValueError("algebra must be FullHinf or CplusB")
 

@@ -100,6 +100,12 @@ def _floats(tokens, lineno, key, expected=None):
     return vals
 
 
+def _integer(value, lineno, key):
+    if not value.is_integer():
+        raise ProblemFileError(f"{key}: expected an integer, got {value!r}", line=lineno)
+    return int(value)
+
+
 def _complex_pairs(tokens, lineno, key):
     vals = _floats(tokens, lineno, key)
     if len(vals) == 0 or len(vals) % 2 != 0:
@@ -136,8 +142,10 @@ def parse_problem_file(text: str) -> ProblemFile:
     current_matrix = None
     for lineno, key, rest in records[2:]:
         if key in _SCALAR_KEYS:
-            vals = _floats(rest, lineno, key, expected=1)
-            pf.scalars[key] = _SCALAR_KEYS[key](vals[0])
+            value = _floats(rest, lineno, key, expected=1)[0]
+            if _SCALAR_KEYS[key] is int:
+                value = _integer(value, lineno, key)
+            pf.scalars[key] = value
         elif key in _WORD_KEYS:
             if len(rest) != 1:
                 raise ProblemFileError(f"{key}: expected one word", line=lineno)
@@ -162,7 +170,8 @@ def parse_problem_file(text: str) -> ProblemFile:
             pf.pairs.append(tuple(vals))
         elif key == "grid":
             vals = _floats(rest, lineno, key, expected=3)
-            pf.grid = (int(vals[0]), int(vals[1]), float(vals[2]))
+            pf.grid = (_integer(vals[0], lineno, key), _integer(vals[1], lineno, key),
+                       vals[2])
         elif key == "fcoeff":
             pf.fcoeff_rows.append(_complex_pairs(rest, lineno, key))
         elif key == "rnum":

@@ -7,6 +7,14 @@ eigenanalysis or recursion code paths, so tests compare two routes.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a run's result does
+# not depend on the run; 100 is hypothesis's own default example count, which
+# the tests that set no count keep, and no example has a time limit.
+settings.register_profile("deterministic", derandomize=True, max_examples=100,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 def charpoly_coefficients(matrix: np.ndarray) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Tests for the batch command-line harness and problem file format."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_interp.cli import main
@@ -56,6 +60,32 @@ direction 1 0
 direction 1 0
 target 0 0
 target 0.5 0
+"""
+
+DISTANCE_FILE = """\
+format hardy-interp/1
+kind distance
+arow 1 0 0 0
+arow 0 0 -1 0
+smatrix
+srow 1 0 0 0
+srow 0 0 1 0
+"""
+
+CORONA_CHECK_FILE = """\
+format hardy-interp/1
+kind corona
+mode check
+algebra cplusb
+zero 0 0
+zero 0 0
+fdegree 1
+samples 16
+fcoeff 1 0 0 0 0 0
+fcoeff 0 0 1 0 0 0
+delta 0.9
+set 0 0 0.3 0
+set 0.2 0.2 -0.4 0
 """
 
 
@@ -144,6 +174,29 @@ class TestCommands:
         assert out == ""
         assert f"line {line}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "inf"), ("--grid-radius", "-inf"),
+    ])
+    def test_non_finite_flag_exit_two(self, tmp_path, flag, value):
+        f = tmp_path / "ok.txt"
+        f.write_text(FEASIBLE_OK)
+        with pytest.raises(SystemExit) as exc:
+            main(["feasible", str(f), flag, value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, text, old, new, line", [
+        ("feasible", FAMILY_FILE, "samples 64", "samples 2.7", 7),
+        ("solve", SOLVE_FILE, "grid 6 48 0.99", "grid 6.5 48 0.99", 7),
+    ])
+    def test_fractional_integer_exit_two(self, tmp_path, capsys, command, text,
+                                         old, new, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(old, new))
+        code, out, err = run_cli([command, str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"line {line}:" in err
 
     def test_single_kernel_echoes_only_tol(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"
@@ -264,17 +317,8 @@ class TestCommands:
         assert float(vals["guarantee_level"]) == pytest.approx(1.5)
 
     def test_corona_check_cplusb_family(self, tmp_path, capsys):
-        text = (
-            "format hardy-interp/1\nkind corona\nmode check\nalgebra cplusb\n"
-            "zero 0 0\nzero 0 0\nfdegree 1\nsamples 16\n"
-            "fcoeff 1 0 0 0 0 0\n"   # F = (1, z^2): 1 and B*z^0
-            "fcoeff 0 0 1 0 0 0\n"
-            "delta 0.9\n"
-            "set 0 0 0.3 0\n"
-            "set 0.2 0.2 -0.4 0\n"
-        )
         f = tmp_path / "cc.txt"
-        f.write_text(text)
+        f.write_text(CORONA_CHECK_FILE)   # F = (1, z^2): 1 and B*z^0
         code, out, _ = run_cli(["corona", str(f)], capsys)
         assert code == 0
         vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
@@ -301,16 +345,76 @@ class TestCommands:
 
     def test_distance_command(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
-        f.write_text(
-            "format hardy-interp/1\nkind distance\n"
-            "arow 1 0 0 0\narow 0 0 -1 0\n"
-            "smatrix\nsrow 1 0 0 0\nsrow 0 0 1 0\n"
-        )
+        f.write_text(DISTANCE_FILE)
         code, out, _ = run_cli(["distance", str(f)], capsys)
         assert code == 0
         vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
         assert float(vals["primal"]) == pytest.approx(1.0, abs=1e-7)
         assert abs(float(vals["gap"])) <= 1e-6
+        # the distance computation takes no tolerance or seed
+        assert "config.tol" not in vals and "config.seed" not in vals
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+# Directives whose numbers are counts: a huge value there is a request for a
+# huge allocation, not a malformed file, so the fuzzer does not make one.
+COUNT_KEYS = ("samples", "grid", "degree", "fdegree", "rank", "seed")
+FUZZ_BASES = [
+    ("feasible", FEASIBLE_OK),
+    ("feasible", FAMILY_FILE),
+    ("corona", CORONA_CHECK_FILE),
+    ("distance", DISTANCE_FILE),
+]
+
+
+@st.composite
+def mutated_problem(draw):
+    """A base problem file with lines dropped or duplicated and numeric
+    tokens replaced by nan, inf, a huge value or a word."""
+    command, text = draw(st.sampled_from(FUZZ_BASES))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "number")))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split()
+            spots = [j for j, t in enumerate(tokens) if j and _is_number(t)]
+            if not spots:
+                continue
+            words = ["nan", "inf", "-inf", "seven"]
+            if tokens[0] not in COUNT_KEYS:
+                words.append("1e300")
+            tokens[draw(st.sampled_from(spots))] = draw(st.sampled_from(words))
+            lines[i] = " ".join(tokens)
+    return command, "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    @settings(max_examples=60)
+    @given(mutated_problem())
+    def test_mutated_file_exits_cleanly(self, case):
+        command, text = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.txt"
+            path.write_text(text)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

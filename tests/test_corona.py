@@ -33,7 +33,7 @@ def pair_z_half():
 
 class TestCoronaCheck:
     def test_delta_must_be_positive_and_finite(self):
-        for delta in (0.0, -1.0, np.inf, np.nan):
+        for delta in (0.0, -1.0, np.inf, np.nan, 1e300):
             with pytest.raises(ValueError):
                 CoronaProblem(pair_z_half(), delta)
 

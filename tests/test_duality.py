@@ -16,6 +16,19 @@ def random_instance(rng, max_dim=6, max_basis=3):
     return TruncatedDistanceProblem(target, basis)
 
 
+def criterion_6_instance(index):
+    """Instance number index (from 0) of the criterion-6 acceptance set."""
+    rng = np.random.default_rng(606)
+    for _ in range(index + 1):
+        n1 = int(rng.integers(2, 7))
+        n2 = int(rng.integers(2, 7))
+        s = int(rng.integers(1, 4))
+        target = rng.normal(size=(n2, n1)) + 1j * rng.normal(size=(n2, n1))
+        basis = [rng.normal(size=(n2, n1)) + 1j * rng.normal(size=(n2, n1))
+                 for _ in range(s)]
+    return TruncatedDistanceProblem(target, basis, rank=n1)
+
+
 class TestValidation:
     def test_dependent_basis_rejected(self):
         a = np.eye(2, dtype=complex)
@@ -59,6 +72,8 @@ class TestPrimal:
         )
         assert scan == pytest.approx(1.0)
         assert distance_primal(p) == pytest.approx(1.0, abs=1e-8)
+        # theta = 0 is optimal, and the primal never exceeds ||A||
+        assert distance_primal(p) <= np.linalg.svd(a, compute_uv=False)[0]
 
 
 class TestDual:
@@ -95,6 +110,14 @@ class TestDuality:
             p = random_instance(rng)
             gap = distance_primal(p) - distance_dual(p)
             assert abs(gap) <= 1e-6
+
+    def test_seed_with_degenerate_rank_one_optimum(self):
+        # Here the span of (S_k (x) I) h1 degenerates at the rank-one optimal
+        # h1, so a dual seeded with the top singular vector alone returns
+        # 2.7e-7 instead of the distance 0.709.
+        p = criterion_6_instance(5)
+        assert p.dims == (3, 2) and len(p.basis) == 3
+        assert abs(distance_primal(p) - distance_dual(p)) <= 1e-6
 
     def test_tensor_rank_stability(self):
         rng = np.random.default_rng(17)

@@ -42,7 +42,7 @@ def scalar_problem(points, targets, bound=1.0, algebra=None):
 
 class TestBuildPickMatrix:
     def test_bound_must_be_positive_and_finite(self):
-        for bound in (0.0, -1.0, np.inf, np.nan):
+        for bound in (0.0, -1.0, np.inf, np.nan, 1e300):
             with pytest.raises(ValueError):
                 scalar_problem([0.0, 0.5], [0.0, 0.4], bound=bound)
 
