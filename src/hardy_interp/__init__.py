@@ -45,6 +45,7 @@ from .pick import (
     Verdict,
     build_pick_matrix,
     default_kernel,
+    family_minimum,
     feasible_family,
     feasible_single,
     scaled_single_kernel_check,

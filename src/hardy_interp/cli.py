@@ -426,18 +426,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tangential interpolation and Toeplitz-corona batch solver",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run a {name} problem file")
-        p.add_argument("file", help="problem file path")
-        p.add_argument("--tol", type=_finite_float, default=None)
-        p.add_argument("--grid-radial", type=int, default=None)
-        p.add_argument("--grid-angular", type=int, default=None)
-        p.add_argument("--grid-radius", type=_finite_float, default=None)
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", choices=("text", "json"), default="text")
+    parser.add_argument("command", choices=list(_COMMANDS), help="problem kind to run")
+    parser.add_argument("file", help="problem file path")
+    parser.add_argument("--tol", type=_finite_float, default=None)
+    parser.add_argument("--grid-radial", type=int, default=None)
+    parser.add_argument("--grid-angular", type=int, default=None)
+    parser.add_argument("--grid-radius", type=_finite_float, default=None)
+    parser.add_argument("--degree", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 
 

@@ -19,9 +19,9 @@ from .errors import (
     InfeasibleConstraints,
     NoSolutionExists,
 )
-from .numerics import DiskGrid, hermitian_eigenvalues
-from .pick import FullHinf, TangentialProblem
-from .rkhs import ModelVector, SzegoKernel, check_in_disk, cyclic_grams, sample_model_sphere
+from .numerics import DiskGrid, hermitian_min_eig
+from .pick import FullHinf, TangentialProblem, family_minimum
+from .rkhs import ModelVector, SzegoKernel, check_in_disk, tm_basis
 from .solve import VectorAnalyticFunction, tangential_solve
 
 __all__ = [
@@ -78,17 +78,11 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
     """Test the corona positivity condition on each point set.
 
     For H-infinity the family is the Szego kernel alone; for
-    C + B*H-infinity the cyclic kernels of a deterministic sweep of
-    ``samples`` unit model vectors are tested, all Gram matrices of a point
-    set in one batch and all their eigenvalues in one stacked call.  Fails
-    fast with the witness point set and kernel parameter.
+    C + B*H-infinity each point set goes through family_minimum, the sweep
+    of ``samples`` unit model vectors and the refine of the Pick family
+    test.  Fails fast with the witness point set and kernel parameter.
     """
     algebra = problem.algebra
-    szego_only = isinstance(algebra, FullHinf)
-    if not szego_only:
-        vectors = sample_model_sphere(algebra.product, samples, seed)
-        coeffs = np.array([v.coefficients for v in vectors])
-
     worst_eig = np.inf
     sets_tested = 0
     kernels_tested = 0
@@ -99,21 +93,20 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
         # entry (i, j) = sum_k F_k(x_i) conj(F_k(x_j)) - delta^2
         inner = fvals @ fvals.conj().T - problem.delta ** 2
         inner = 0.5 * (inner + inner.conj().T)
-        if szego_only:
-            grams = SzegoKernel().gram(pts)[None]
+        if isinstance(algebra, FullHinf):
+            lam, witness = hermitian_min_eig(inner * SzegoKernel().gram(pts)), None
+            kernels_tested += 1
         else:
-            grams = cyclic_grams(algebra.product, pts, coeffs)
-        eigs = hermitian_eigenvalues(inner * grams)[:, 0]
-        kernels_tested += len(grams)
-        idx = int(np.argmin(eigs))
-        lam = float(eigs[idx])
+            lam, c = family_minimum(algebra.product, pts, inner, samples, seed)
+            witness = ModelVector(tm_basis(algebra.product), c)
+            kernels_tested += samples
         worst_eig = min(worst_eig, lam)
         if lam < -tol:
             return CoronaReport(
                 passed=False,
                 min_eig=lam,
                 worst_point_set=pts,
-                worst_parameter=None if szego_only else vectors[idx],
+                worst_parameter=witness,
                 sets_tested=sets_tested,
                 kernels_tested=kernels_tested,
             )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 __all__ = [
     "TruncatedDistanceProblem",
@@ -25,8 +24,10 @@ __all__ = [
 class TruncatedDistanceProblem:
     """Distance data: target A (n2 x n1), subspace basis, tensor rank r.
 
-    The basis matrices must be linearly independent (Gram of vectorizations
-    nonsingular within 1e-10) and r >= n1, which makes the dual formula
+    Every matrix must have a finite squared Frobenius norm (so non-finite
+    entries, and entries whose squares overflow, are rejected), the basis
+    matrices must be linearly independent (Gram of vectorizations
+    nonsingular within 1e-10), and r >= n1, which makes the dual formula
     exact at this truncation.
     """
 
@@ -38,9 +39,12 @@ class TruncatedDistanceProblem:
         self.target = np.atleast_2d(np.asarray(self.target, dtype=complex))
         self.basis = tuple(np.asarray(b, dtype=complex) for b in self.basis)
         n2, n1 = self.target.shape
-        for b in self.basis:
-            if b.shape != (n2, n1):
+        for k, m in enumerate((self.target,) + self.basis):
+            if m.shape != (n2, n1):
                 raise ValueError("basis matrices must match the target shape")
+            if not np.isfinite(np.vdot(m, m).real):
+                name = f"basis matrix {k}" if k else "target"
+                raise ValueError(f"{name} overflows: its squared Frobenius norm is not finite")
         if self.rank == 0:
             self.rank = n1
         if self.rank < n1:
@@ -107,6 +111,8 @@ def _minimiser(problem: TruncatedDistanceProblem) -> np.ndarray:
     soft-max is convex and differentiable, so one start suffices and the
     nonsmooth ties of the top singular value cause no stalls.
     """
+    import scipy.optimize
+
     theta = np.zeros(2 * len(problem.basis))
     if not problem.basis:
         return theta
@@ -143,6 +149,8 @@ def distance_dual(problem: TruncatedDistanceProblem) -> float:
     seed is mixed with a little of the uniform density (_SEED_MIX) and
     polished once by quasi-Newton ascent of phi(h)/||h||.
     """
+    import scipy.optimize
+
     _, n1 = problem.dims
     r = problem.rank
     s = len(problem.basis)

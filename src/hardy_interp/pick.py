@@ -40,6 +40,7 @@ __all__ = [
     "build_pick_matrix",
     "feasible_single",
     "feasible_family",
+    "family_minimum",
     "scaled_single_kernel_check",
 ]
 
@@ -325,42 +326,46 @@ def _refine_minimum(product: BlaschkeProduct, points: np.ndarray,
     return best_eig, best_c
 
 
+def family_minimum(product: BlaschkeProduct, points: np.ndarray, cmat: np.ndarray,
+                   samples: int, seed: int, refine: bool = True):
+    """Lowest eigenvalue of C o K_c over unit model vectors c, and that c.
+
+    C is the Hermitian coefficient matrix of a positivity condition at
+    ``points`` (Pick: alpha^2 V V* - w w*; corona: F F* - delta^2) and K_c
+    the cyclic kernel of c: one batched sweep of ``samples`` unit vectors,
+    then, with ``refine``, _refine_minimum from the worst samples.
+    """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    coeffs = np.array([v.coefficients for v in sample_model_sphere(product, samples, seed)])
+    eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, points, coeffs))[:, 0]
+    order = np.argsort(eigs, kind="stable")
+    worst_eig, worst_c = float(eigs[order[0]]), coeffs[order[0]]
+    if refine:
+        eig, c = _refine_minimum(product, points, cmat, coeffs[order[:_REFINE_STARTS]])
+        if eig < worst_eig:
+            worst_eig, worst_c = eig, c
+    return worst_eig, worst_c
+
+
 def feasible_family(problem: TangentialProblem, samples: int = 512,
                     refine: bool = True, tol: float = 1e-8,
                     seed: int = 0) -> FeasibilityReport:
-    """Kernel-family feasibility sweep for C + B*H-infinity.
+    """Kernel-family feasibility test for C + B*H-infinity.
 
-    Evaluates the Pick minimum eigenvalue over a deterministic sweep of
-    ``samples`` unit model-space vectors, with every Gram matrix and every
-    eigenvalue of the sweep computed in one batch.  With ``refine`` the
-    worst samples seed an exact minimisation of the minimum eigenvalue over
-    the unit sphere: alternating steps (bottom eigenvector in the nodes,
-    then bottom eigenvector in the model vector) with a Newton step from
-    analytic eigenvalue derivatives beside each.  Feasible means no violation
-    was found at the stated sweep size; Infeasible carries the witness
-    vector.
+    family_minimum of the Pick coefficients: a batched sweep of ``samples``
+    unit model-space vectors and, with ``refine``, an exact minimisation of
+    the minimum eigenvalue from the worst samples (alternating and Newton
+    steps, see _refine_minimum).  Feasible means no violation was found at
+    the stated sweep size; Infeasible carries the witness vector.
     """
     if isinstance(problem.algebra, FullHinf):
         raise KernelMismatch("family sweep applies to C+B*H-infinity; "
                              "use feasible_single with the Szego kernel")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     _check_duplicate_consistency(problem)
     product = problem.algebra.product
-    pts = problem.points
-    cmat = _coefficient_matrix(problem)
-
-    coeffs = np.array([v.coefficients for v in sample_model_sphere(product, samples, seed)])
-    eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, pts, coeffs))[:, 0]
-    order = np.argsort(eigs, kind="stable")
-    worst_eig = float(eigs[order[0]])
-    worst_c = coeffs[order[0]]
-
-    if refine:
-        eig, c = _refine_minimum(product, pts, cmat, coeffs[order[:_REFINE_STARTS]])
-        if eig < worst_eig:
-            worst_eig, worst_c = eig, c
-
+    worst_eig, worst_c = family_minimum(product, problem.points, _coefficient_matrix(problem),
+                                        samples, seed, refine)
     feasible = worst_eig >= -tol
     witness = None if feasible else ModelVector(tm_basis(product), worst_c)
     return FeasibilityReport(

@@ -82,23 +82,6 @@ def blaschke_eval(product: BlaschkeProduct, z):
     return out if zz.shape else complex(out)
 
 
-def szego_kernel(z, w):
-    """Szego kernel of the Hardy space H^2: 1 / (1 - z conj(w))."""
-    zz = check_in_disk(z, "z")
-    ww = check_in_disk(w, "w")
-    val = 1.0 / (1.0 - zz * np.conj(ww))
-    return complex(val[0]) if val.size == 1 and np.isscalar(z) else np.squeeze(val)[()]
-
-
-def model_space_kernel(product: BlaschkeProduct, z, w):
-    """Reproducing kernel of H^2 minus B*H^2:
-    (1 - B(z) conj(B(w))) / (1 - z conj(w))."""
-    zz = check_in_disk(z, "z")
-    ww = check_in_disk(w, "w")
-    val = (1.0 - product(zz) * np.conj(product(ww))) / (1.0 - zz * np.conj(ww))
-    return complex(val[0]) if val.size == 1 and np.isscalar(z) else np.squeeze(val)[()]
-
-
 class ModelSpaceBasis:
     """Takenaka-Malmquist orthonormal basis of the model space of a finite
     Blaschke product.
@@ -168,78 +151,54 @@ class ModelVector:
             raise NotNormalized(f"model vector norm {self.norm} is not 1 within {tol}")
 
     def evaluate(self, points):
-        z = np.atleast_1d(np.asarray(points, dtype=complex))
-        vals = self.basis.eval_matrix(z) @ self.coefficients
-        return vals if np.asarray(points).shape else complex(vals[0])
+        z = np.asarray(points, dtype=complex)
+        vals = self.basis.eval_matrix(z.reshape(-1)) @ self.coefficients
+        return vals.reshape(z.shape) if z.shape else complex(vals[0])
 
 
-def cyclic_kernel(product: BlaschkeProduct, vector: ModelVector, z, w):
-    """Kernel of the cyclic subspace span{v} + B*H^2 for unit v:
+class _Kernel:
+    """A kernel given once, by the broadcasting formula ``cross(z, w)`` of
+    each subclass.
 
-        K(z, w) = v(z) conj(v(w)) + B(z) conj(B(w)) / (1 - z conj(w)).
+    Calling it validates both arguments and evaluates elementwise (a
+    complex number for scalar z); ``gram(points)`` is the Hermitian matrix
+    [K(z_i, z_j)].
     """
-    vector.require_unit()
-    zz = check_in_disk(z, "z")
-    ww = check_in_disk(w, "w")
-    vz = vector.evaluate(zz)
-    vw = vector.evaluate(ww)
-    val = vz * np.conj(vw) + product(zz) * np.conj(product(ww)) / (1.0 - zz * np.conj(ww))
-    return complex(val[0]) if val.size == 1 and np.isscalar(z) else np.squeeze(val)[()]
-
-
-def cyclic_grams(product: BlaschkeProduct, points, coeffs) -> np.ndarray:
-    """Gram matrices of the cyclic kernels of K model vectors at once.
-
-    Row k of ``coeffs`` (shape (K, d), or (d,) for K = 1) holds the basis
-    coefficients of v_k; the result has shape (K, n, n) with
-
-        G[k, i, j] = v_k(z_i) conj(v_k(z_j)) + B(z_i) conj(B(z_j)) / (1 - z_i conj(z_j)),
-
-    each exactly Hermitian.  The caller is responsible for unit rows.
-    """
-    z = check_in_disk(points, "points")
-    values = np.atleast_2d(coeffs) @ tm_basis(product).eval_matrix(z).T  # (K, n)
-    bz = product(z)
-    inner = (bz[:, None] * np.conj(bz)[None, :]) / (1.0 - z[:, None] * np.conj(z)[None, :])
-    g = values[:, :, None] * np.conj(values)[:, None, :] + inner
-    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
-
-
-class SzegoKernel:
-    """Evaluable Szego kernel with a Gram-matrix helper."""
-
-    tag = "szego"
 
     def __call__(self, z, w):
-        return szego_kernel(z, w)
+        val = self.cross(check_in_disk(z, "z"), check_in_disk(w, "w"))
+        return complex(val[0]) if val.size == 1 and np.isscalar(z) else np.squeeze(val)[()]
 
     def gram(self, points) -> np.ndarray:
         z = check_in_disk(points, "points")
-        g = 1.0 / (1.0 - z[:, None] * np.conj(z)[None, :])
+        g = self.cross(z[:, None], z[None, :])
         return 0.5 * (g + g.conj().T)
 
 
-class ModelSpaceKernel:
-    """Evaluable kernel of the model space of a finite Blaschke product."""
+class SzegoKernel(_Kernel):
+    """Szego kernel of H^2: 1 / (1 - z conj(w))."""
+
+    tag = "szego"
+
+    def cross(self, z, w):
+        return 1.0 / (1.0 - z * np.conj(w))
+
+
+class ModelSpaceKernel(_Kernel):
+    """Kernel of the model space H^2 minus B*H^2 of a finite Blaschke product:
+    (1 - B(z) conj(B(w))) / (1 - z conj(w))."""
 
     def __init__(self, product: BlaschkeProduct):
         self.product = product
         self.tag = f"model-space(deg {product.degree})"
 
-    def __call__(self, z, w):
-        return model_space_kernel(self.product, z, w)
-
-    def gram(self, points) -> np.ndarray:
-        z = check_in_disk(points, "points")
-        bz = self.product(z)
-        g = (1.0 - bz[:, None] * np.conj(bz)[None, :]) / (
-            1.0 - z[:, None] * np.conj(z)[None, :]
-        )
-        return 0.5 * (g + g.conj().T)
+    def cross(self, z, w):
+        return (1.0 - self.product(z) * np.conj(self.product(w))) / (1.0 - z * np.conj(w))
 
 
-class CyclicKernel:
-    """Evaluable cyclic-subspace kernel for C + B*H-infinity."""
+class CyclicKernel(_Kernel):
+    """Kernel of the cyclic subspace span{v} + B*H^2 of a unit model vector v
+    (the kernel family of C + B*H-infinity; formula in _cyclic_cross)."""
 
     def __init__(self, product: BlaschkeProduct, vector: ModelVector):
         vector.require_unit()
@@ -249,11 +208,44 @@ class CyclicKernel:
         self.vector = vector
         self.tag = f"cyclic(deg {product.degree})"
 
-    def __call__(self, z, w):
-        return cyclic_kernel(self.product, self.vector, z, w)
+    def cross(self, z, w):
+        return _cyclic_cross(self.product, z, w, self.vector.evaluate(z),
+                             self.vector.evaluate(w))
 
-    def gram(self, points) -> np.ndarray:
-        return cyclic_grams(self.product, points, self.vector.coefficients)[0]
+
+def _cyclic_cross(product: BlaschkeProduct, z, w, vz, vw):
+    """v(z) conj(v(w)) + B(z) conj(B(w)) / (1 - z conj(w)), broadcasting,
+    from the model-vector values vz = v(z) and vw = v(w)."""
+    return vz * np.conj(vw) + product(z) * np.conj(product(w)) / (1.0 - z * np.conj(w))
+
+
+def cyclic_grams(product: BlaschkeProduct, points, coeffs) -> np.ndarray:
+    """Gram matrices of the cyclic kernels of K model vectors at once.
+
+    Row k of ``coeffs`` (shape (K, d), or (d,) for K = 1) holds the basis
+    coefficients of v_k; the result has shape (K, n, n), G[k] the Gram of
+    the cyclic kernel of v_k (CyclicKernel), each exactly Hermitian.  The
+    caller is responsible for unit rows.
+    """
+    z = check_in_disk(points, "points")
+    values = np.atleast_2d(coeffs) @ tm_basis(product).eval_matrix(z).T  # (K, n)
+    g = _cyclic_cross(product, z[:, None], z[None, :], values[:, :, None], values[:, None, :])
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
+
+
+def szego_kernel(z, w):
+    """Szego kernel of the Hardy space H^2: 1 / (1 - z conj(w))."""
+    return SzegoKernel()(z, w)
+
+
+def model_space_kernel(product: BlaschkeProduct, z, w):
+    """Reproducing kernel of H^2 minus B*H^2 (see ModelSpaceKernel)."""
+    return ModelSpaceKernel(product)(z, w)
+
+
+def cyclic_kernel(product: BlaschkeProduct, vector: ModelVector, z, w):
+    """Kernel of the cyclic subspace span{v} + B*H^2 for unit v (see CyclicKernel)."""
+    return CyclicKernel(product, vector)(z, w)
 
 
 # A Fourier coefficient below this fraction of the largest counts as zero

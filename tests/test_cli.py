@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardy_interp import __version__
 from hardy_interp.cli import main
 from hardy_interp.errors import ProblemFileError
 from hardy_interp.problemfile import format_complex, parse_problem_file
@@ -184,6 +186,35 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["feasible", str(f), flag, value])
         assert exc.value.code == 2
+
+    def test_unknown_command_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "ok.txt"
+        f.write_text(FEASIBLE_OK)
+        with pytest.raises(SystemExit) as exc:
+            main(["feasibility", str(f)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("arow 1 0 0 0", "arow 1e300 0 0 0", "target"),
+        ("srow 1 0 0 0", "srow 1e300 0 0 0", "basis matrix 1"),
+    ])
+    def test_distance_overflow_exit_two(self, tmp_path, capfd, old, new, name):
+        # capfd, not capsys: LAPACK writes its complaints to file descriptor 1
+        bad = tmp_path / "d.txt"
+        bad.write_text(DISTANCE_FILE.replace(old, new))
+        code = main(["distance", str(bad)])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"{name} overflows" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command, text, old, new, line", [
         ("feasible", FAMILY_FILE, "samples 64", "samples 2.7", 7),
@@ -415,6 +446,19 @@ class TestFuzz:
                 code = main([command, str(path)])
         assert code in (0, 1, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hardy_interp.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

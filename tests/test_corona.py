@@ -72,6 +72,28 @@ class TestCoronaCheck:
         assert report.passed
         assert report.kernels_tested == 5 * 64
 
+    def test_cplusb_refine_finds_violation_the_sweep_misses(self):
+        # the 200-vector sweep alone gives min eig +7.2e-5 on this set; the
+        # refine from its worst samples reaches a negative eigenvalue
+        b = BlaschkeProduct((0.0, 0.0))
+        basis = AnalyticBasis(CplusB(b), 1)
+        func = VectorAnalyticFunction(basis, [[-0.5, -0.75, -0.75], [-0.75, -0.5, 1.25]])
+        delta = 0.513
+        pts = np.array([0.0, 0.5, -0.5j])
+        report = corona_check(CoronaProblem(func, delta), [pts])
+        assert not report.passed
+        assert report.min_eig < -1e-8
+        assert report.kernels_tested == 200
+        c = report.worst_parameter.coefficients
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+        fv = func.values(pts)
+        v = c[0] + c[1] * pts   # the model space of z^2 has basis 1, z
+        gram = np.outer(v, np.conj(v)) + np.outer(pts ** 2, np.conj(pts ** 2)) / (
+            1.0 - np.outer(pts, np.conj(pts)))
+        q = (fv @ fv.conj().T - delta ** 2) * gram
+        own = np.linalg.eigvalsh(0.5 * (q + q.conj().T))[0]
+        assert abs(own - report.min_eig) <= 1e-10
+
 
 class TestCoronaSolve:
     def test_scalar_unit(self):

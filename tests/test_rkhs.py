@@ -177,6 +177,25 @@ class TestCyclicGrams:
             assert np.abs(g - pairwise).max() < 1e-12
             assert np.array_equal(g, g.conj().T)
 
+    def test_szego_and_model_gram_match_pairwise_kernel(self):
+        rng = np.random.default_rng(29)
+        b = BlaschkeProduct((0.3 + 0.3j, -0.5, 0.0))
+        pts = random_disk_points(rng, 6, radius=0.9)
+        for kern, pair in ((SzegoKernel(), szego_kernel),
+                           (ModelSpaceKernel(b), lambda z, w: model_space_kernel(b, z, w))):
+            g = kern.gram(pts)
+            pairwise = np.array([[pair(z, w) for w in pts] for z in pts])
+            assert np.abs(g - pairwise).max() < 1e-12
+            assert np.array_equal(g, g.conj().T)
+
+    def test_elementwise_array_call(self):
+        rng = np.random.default_rng(31)
+        zs = random_disk_points(rng, 7, radius=0.9, min_sep=0.0)
+        ws = random_disk_points(rng, 7, radius=0.9, min_sep=0.0)
+        vals = szego_kernel(zs, ws)
+        assert vals.shape == (7,)
+        assert np.abs(vals - 1.0 / (1.0 - zs * np.conj(ws))).max() < 1e-15
+
     def test_single_vector_gives_stack_of_one(self):
         b = BlaschkeProduct((0.0, 0.0))
         pts = np.array([0.1, -0.2j, 0.5])
