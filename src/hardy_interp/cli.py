@@ -285,6 +285,7 @@ def _cmd_solve(pf: ProblemFile, args, cert: Certificate) -> int:
     tol = _scalar(pf, args, "tol", 1e-6)
     result = tangential_solve(problem, degree, grid, level=level, tol=tol)
     cert.add("grid_norm", result.grid_norm)
+    cert.add("lower_bound", result.minimax.lower_bound)
     cert.add("level", level)
     cert.add("meets_level", "yes" if result.meets_level else "no")
     cert.add("rounds", result.minimax.iterations)
@@ -360,6 +361,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
         cert.add("node_residual", report.node_residual)
         cert.add("grid_residual", report.grid_residual)
         cert.add("solution_norm", report.solution_norm)
+        cert.add("lower_bound", report.lower_bound)
         cert.add("norm_slack", report.norm_slack)
         _solution_payload(cert, solution)
         _echo_config(cert, **used)

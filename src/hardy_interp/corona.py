@@ -21,7 +21,7 @@ from .errors import (
 )
 from .numerics import DiskGrid, hermitian_min_eig
 from .pick import FullHinf, TangentialProblem, family_minimum
-from .rkhs import ModelVector, SzegoKernel, check_in_disk, tm_basis
+from .rkhs import ModelVector, SzegoKernel, check_in_disk, sample_model_sphere, tm_basis
 from .solve import VectorAnalyticFunction, tangential_solve
 
 __all__ = [
@@ -64,6 +64,7 @@ class CoronaReport:
     node_residual: Optional[float] = None
     grid_residual: Optional[float] = None
     solution_norm: Optional[float] = None
+    lower_bound: Optional[float] = None
     norm_slack: Optional[float] = None
 
 
@@ -79,10 +80,13 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
 
     For H-infinity the family is the Szego kernel alone; for
     C + B*H-infinity each point set goes through family_minimum, the sweep
-    of ``samples`` unit model vectors and the refine of the Pick family
-    test.  Fails fast with the witness point set and kernel parameter.
+    of ``samples`` unit model vectors, drawn once for all sets, and the
+    refine of the Pick family test.  Fails fast with the witness point set
+    and kernel parameter.
     """
     algebra = problem.algebra
+    if not isinstance(algebra, FullHinf):
+        sweep = sample_model_sphere(algebra.product, samples, seed)
     worst_eig = np.inf
     sets_tested = 0
     kernels_tested = 0
@@ -97,7 +101,7 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
             lam, witness = hermitian_min_eig(inner * SzegoKernel().gram(pts)), None
             kernels_tested += 1
         else:
-            lam, c = family_minimum(algebra.product, pts, inner, samples, seed)
+            lam, c = family_minimum(algebra.product, pts, inner, sweep)
             witness = ModelVector(tm_basis(algebra.product), c)
             kernels_tested += samples
         worst_eig = min(worst_eig, lam)
@@ -127,7 +131,9 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
     delta, bound 1 over the same algebra, solves it by constrained minimax,
     and returns G = (1/delta) * G_Y.  The node residual is certified; the
     residual over the verification grid is reported, not guaranteed (the
-    exact statement takes a limit over all finite node sets).
+    exact statement takes a limit over all finite node sets).  The report's
+    lower_bound is the minimax's weak-duality bound over delta: no G of this
+    degree meeting the nodes has a smaller grid norm.
 
     Raises HypothesisInsufficientAtScale when the check fails on the node
     set or the tangential solution misses contractivity by more than
@@ -173,6 +179,7 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
         node_residual=node_res,
         grid_residual=grid_res,
         solution_norm=norm,
+        lower_bound=result.minimax.lower_bound / problem.delta,
         norm_slack=max(result.grid_norm - 1.0, 0.0),
     )
     return solution, report

@@ -165,18 +165,27 @@ class MinimaxSolution:
     """Result of the constrained minimax solve.
 
     coefficients has one row per component; achieved_level is the exact grid
-    maximum of the evaluated vector norm at those coefficients; iterations
-    counts projection rounds across all bisection levels.
+    maximum of the evaluated vector norm at those coefficients, an upper
+    bound on the grid optimum; lower_bound is a lower bound on it by weak
+    duality; iterations counts Newton steps.
     """
 
     coefficients: np.ndarray
     achieved_level: float
     iterations: int
     converged: bool
+    lower_bound: float
 
 
 def _row_norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(values) ** 2, axis=1))
+
+
+# minimax_affine's barrier: tau grows by _TAU_GROWTH once the Newton decrement
+# is below _CENTRED, and no step shrinks any t^2 - |v_g|^2 below _KEEP of it.
+_TAU_GROWTH = 10.0
+_CENTRED = 0.5
+_KEEP = 0.1
 
 
 def minimax_affine(
@@ -184,8 +193,7 @@ def minimax_affine(
     constraints,
     grid: DiskGrid,
     tol: float = 1e-6,
-    max_rounds: int = 10_000,
-    max_bisections: int = 60,
+    max_rounds: int = 500,
 ) -> MinimaxSolution:
     """Minimize the grid maximum of a vector norm subject to Lc = b.
 
@@ -201,19 +209,23 @@ def minimax_affine(
     grid : DiskGrid
         The sampling grid the basis was evaluated on (size check only).
     tol : float
-        Relative width of the bisection interval at which to stop.
+        Stop once upper - lower <= tol * max(1, upper).
+    max_rounds : int
+        Newton steps allowed.
 
     Notes
     -----
-    The optimal level is bracketed by bisection; each level's feasibility
-    problem (affine set versus the product of per-grid-point norm balls) is
-    decided by relaxed alternating projections in Douglas-Rachford form,
-    warm-started across levels.  Feasibility certificates are genuine
-    points of the affine set, so the achieved level is always attained by
-    the returned coefficients.
+    Values v = y0 + U s, U orthonormal over the constraint null space, meet
+    Lc = b to rounding for every s.  "Minimize t with |v_g| <= t at every
+    grid point g" is solved by a primal log-barrier Newton method (Boyd and
+    Vandenberghe, Convex Optimization, ch. 11).  Upper bound: the grid
+    maximum at the best iterate.  Lower bound (weak duality): with w from
+    the barrier projected onto range(U)-perp, Re <w, y0> = Re <w, v> <=
+    max_g |v_g| sum_g |w_g| for every s.
 
     Raises InfeasibleConstraints for inconsistent systems and NotConverged
-    (carrying the best solution) if the bracket cannot reach tol.
+    (carrying the best solution) if the gap does not reach tol within
+    max_rounds Newton steps.
     """
     if isinstance(basis_eval, np.ndarray) and basis_eval.ndim == 2:
         mats = [np.asarray(basis_eval, dtype=complex)]
@@ -227,22 +239,14 @@ def minimax_affine(
         raise ValueError("basis evaluation rows do not match the grid size")
     dim = m * nb
 
-    if constraints is None:
-        lmat = np.zeros((0, dim), dtype=complex)
-        bvec = np.zeros(0, dtype=complex)
-    else:
-        lmat, bvec = constraints
-        lmat = np.atleast_2d(np.asarray(lmat, dtype=complex))
-        bvec = np.atleast_1d(np.asarray(bvec, dtype=complex))
+    lmat, bvec = constraints if constraints is not None else (np.zeros((0, dim)), [])
+    lmat = np.atleast_2d(np.asarray(lmat, dtype=complex))
+    bvec = np.atleast_1d(np.asarray(bvec, dtype=complex))
     if lmat.shape[1] != dim:
         raise ValueError(f"constraint matrix has {lmat.shape[1]} columns, expected {dim}")
 
-    def values(c):
-        cm = c.reshape(m, nb)
-        out = np.empty((gsize, m), dtype=complex)
-        for k in range(m):
-            out[:, k] = mats[k] @ cm[k]
-        return out
+    def values(c):  # (dim, ...) coefficients to (grid size, m, ...) values
+        return np.stack([mats[k] @ c[k * nb:(k + 1) * nb] for k in range(m)], axis=1)
 
     if lmat.shape[0] == 0:
         c0 = np.zeros(dim, dtype=complex)
@@ -260,79 +264,75 @@ def minimax_affine(
 
     y0 = values(c0)
     base_level = float(_row_norms(y0).max()) if gsize else 0.0
-    kdim = null.shape[1]
-    if kdim == 0 or base_level <= tol * 1e-6:
-        return MinimaxSolution(c0.reshape(m, nb).copy(), base_level, 0, True)
+    # U: an orthonormal basis of the values of the constraint null space.
+    u, sv, vh = np.linalg.svd(values(null).reshape(gsize * m, null.shape[1]),
+                          full_matrices=False)
+    r = int(np.sum(sv > sv[0] * 1e-13)) if sv.size else 0
+    if r == 0 or base_level <= tol * 1e-6:
+        lower = base_level if r == 0 else 0.0
+        return MinimaxSolution(c0.reshape(m, nb).copy(), base_level, 0, True, lower)
+    u, sv, vh = u[:, :r], sv[:r], vh[:r]
 
-    # Affine set in value space: y0 + range(M), with M the evaluation of the
-    # constraint null space.  Projection uses an orthonormal range basis.
-    mmat = np.empty((gsize * m, kdim), dtype=complex)
-    for j in range(kdim):
-        mmat[:, j] = values(null[:, j]).reshape(-1)
-    u, sv, vh = np.linalg.svd(mmat, full_matrices=False)
-    rank = int(np.sum(sv > sv[0] * 1e-13)) if sv.size else 0
-    u, sv, vh = u[:, :rank], sv[:rank], vh[:rank]
-    yflat0 = y0.reshape(-1)
+    # Barrier phi = tau t - sum_g log f_g, f_g = t^2 - |v_g|^2, v = y0 + U s,
+    # from s = 0 and t above the start level; tau first zeroes d phi / dt.
+    s, t, v, tau, uw = np.zeros(r, dtype=complex), 1.5 * base_level, y0, 0.0, np.empty_like(u)
+    best_s, upper, lower, steps = s, base_level, 0.0, 0
+    while True:
+        vn = _row_norms(v)
+        f, inv = (t - vn) * (t + vn), 1.0 / ((t - vn) * (t + vn))
+        if vn.max() < upper:
+            best_s, upper = s, float(vn.max())
+        # Gradient and Hessian of -sum log f_g in x = (Re s_1, Im s_1, ...,
+        # t), scaled by d: rows of uw are U_g* / f_g, then q_g = U_g* v_g / f_g.
+        np.conjugate(u, out=uw)
+        uw *= np.repeat(inv, m)[:, None]
+        amat = 2.0 * (uw.T @ u)
+        uw *= v.reshape(-1, 1)
+        q = uw.reshape(gsize, m, r)
+        for k in range(1, m):
+            q[:, 0] += q[:, k]
+        pq, e = q[:, 0].view(float), -t * inv
+        grad, ep = 2.0 * np.append(pq.sum(axis=0), e.sum()), e @ pq
+        hess = 4.0 * np.block([[pq.T @ pq, ep[:, None]], [ep, e @ e - 0.5 * inv.sum()]])
+        hess[:-1, :-1] += np.kron(amat.real, np.eye(2)) + np.kron(amat.imag, [[0, -1], [1, 0]])
+        d = 1.0 / np.sqrt(np.diag(hess))
+        hess *= np.outer(d, d)
+        barrier_t, tau = grad[-1], tau or -grad[-1]
+        for growth in (1.0, _TAU_GROWTH):
+            tau *= growth
+            grad[-1] = barrier_t + tau
+            dx = -np.linalg.solve(hess, grad * d) * d
+            decrement = -float(grad @ dx)
+            if decrement >= _CENTRED:
+                break
+        ds, dt = dx[:-1].view(complex), dx[-1]
+        du = (u @ ds).reshape(gsize, m)
+        if (level := float(_row_norms(v + du).max())) < upper:
+            best_s, upper = s + ds, level
+        # Dual estimate: w_g = v_g / f_g linearised along the Newton step, so
+        # that U* w vanishes up to the solve's rounding; projected exactly.
+        b = t * dt - np.sum((v.conj() * du).real, axis=1)
+        w = (v + du - v * (2.0 * b * inv)[:, None]) * inv[:, None]
+        w -= (u @ (w.reshape(-1).conj() @ u).conj()).reshape(gsize, m)
+        lower = max(lower, float(np.vdot(w, y0).real) / max(_row_norms(w).sum(), 1e-300))
+        if upper - lower <= tol * max(1.0, upper) or steps == max_rounds:
+            break
+        # Backtracking (Armijo 1/4) along the step, where f_g becomes
+        # f_g + a (2 b_g + a c_g), from the longest step keeping f_g >= _KEEP f_g.
+        c = dt * dt - np.sum(np.abs(du) ** 2, axis=1)
+        root = np.sqrt(np.maximum(b * b - (1.0 - _KEEP) * f * c, 0.0)) - b
+        alpha = float(np.min((1.0 - _KEEP) * f[root > 0.0] / root[root > 0.0], initial=1.0))
+        while alpha > 1e-12 and -0.25 * alpha * decrement < tau * alpha * dt \
+                - np.sum(np.log1p(alpha * (2.0 * b + alpha * c) * inv)):
+            alpha *= 0.5
+        if not alpha > 1e-12:
+            break
+        s, t, v, steps = s + alpha * ds, t + alpha * dt, v + alpha * du, steps + 1
 
-    def proj_affine(y):
-        return yflat0 + u @ (u.conj().T @ (y - yflat0))
-
-    def proj_balls(y, t):
-        w = y.reshape(gsize, m)
-        rn = _row_norms(w)
-        scale = np.minimum(1.0, t / np.maximum(rn, 1e-300))
-        return (w * scale[:, None]).reshape(-1)
-
-    def level_of(y):
-        return float(_row_norms(y.reshape(gsize, m)).max())
-
-    lo, hi = 0.0, base_level
-    best_y = yflat0.copy()
-    warm = yflat0.copy()
-    total_rounds = 0
-    bisections = 0
-    while hi - lo > tol * max(1.0, hi) and bisections < max_bisections:
-        bisections += 1
-        t = 0.5 * (lo + hi)
-        feas_eps = 1e-9 * max(1.0, t)
-        z = warm.copy()
-        feasible = False
-        candidate = None
-        drift_ref = None
-        for it in range(max_rounds):
-            total_rounds += 1
-            x = proj_balls(z, t)
-            ya = proj_affine(2.0 * x - z)
-            z = z + ya - x
-            if it % 10 == 0:
-                excess = level_of(ya) - t
-                if excess <= feas_eps:
-                    feasible = True
-                    candidate = ya
-                    break
-                # Infeasible levels make the Douglas-Rachford iterate drift
-                # linearly; a doubling drift with persistent excess is a
-                # reliable early certificate of disjoint sets.
-                if it == 200:
-                    drift_ref = float(np.linalg.norm(z - warm))
-                elif it >= 400 and it % 200 == 0 and drift_ref is not None:
-                    drift = float(np.linalg.norm(z - warm))
-                    if drift > 2.0 * drift_ref and excess > 100.0 * feas_eps:
-                        break
-        if feasible:
-            hi = t + max(level_of(candidate) - t, 0.0)
-            best_y = candidate
-            warm = candidate
-        else:
-            lo = t
-
-    coeff_update = vh.conj().T @ ((u.conj().T @ (best_y - yflat0)) / sv)
-    c = c0 + null @ coeff_update
-    achieved = float(_row_norms(values(c)).max())
-    converged = hi - lo <= tol * max(1.0, hi)
-    solution = MinimaxSolution(c.reshape(m, nb), achieved, total_rounds, converged)
+    coeffs = c0 + null @ (vh.conj().T @ (best_s / sv))
+    achieved = float(_row_norms(values(coeffs)).max())
+    converged = achieved - lower <= tol * max(1.0, achieved)
+    solution = MinimaxSolution(coeffs.reshape(m, nb), achieved, steps, converged, lower)
     if not converged:
-        raise NotConverged(
-            f"bisection stalled at bracket width {hi - lo:.3e}", best=solution
-        )
+        raise NotConverged(f"gap {achieved - lower:.3e} after {steps} steps", best=solution)
     return solution

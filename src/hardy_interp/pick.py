@@ -327,17 +327,16 @@ def _refine_minimum(product: BlaschkeProduct, points: np.ndarray,
 
 
 def family_minimum(product: BlaschkeProduct, points: np.ndarray, cmat: np.ndarray,
-                   samples: int, seed: int, refine: bool = True):
+                   sweep, refine: bool = True):
     """Lowest eigenvalue of C o K_c over unit model vectors c, and that c.
 
     C is the Hermitian coefficient matrix of a positivity condition at
     ``points`` (Pick: alpha^2 V V* - w w*; corona: F F* - delta^2) and K_c
-    the cyclic kernel of c: one batched sweep of ``samples`` unit vectors,
-    then, with ``refine``, _refine_minimum from the worst samples.
+    the cyclic kernel of c: one batched sweep over the unit ModelVectors
+    ``sweep`` (from sample_model_sphere), then, with ``refine``,
+    _refine_minimum from the worst of them.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    coeffs = np.array([v.coefficients for v in sample_model_sphere(product, samples, seed)])
+    coeffs = np.array([v.coefficients for v in sweep])
     eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, points, coeffs))[:, 0]
     order = np.argsort(eigs, kind="stable")
     worst_eig, worst_c = float(eigs[order[0]]), coeffs[order[0]]
@@ -365,7 +364,7 @@ def feasible_family(problem: TangentialProblem, samples: int = 512,
     _check_duplicate_consistency(problem)
     product = problem.algebra.product
     worst_eig, worst_c = family_minimum(product, problem.points, _coefficient_matrix(problem),
-                                        samples, seed, refine)
+                                        sample_model_sphere(product, samples, seed), refine)
     feasible = worst_eig >= -tol
     witness = None if feasible else ModelVector(tm_basis(product), worst_c)
     return FeasibilityReport(

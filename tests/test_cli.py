@@ -91,6 +91,25 @@ set 0.2 0.2 -0.4 0
 """
 
 
+CORONA_SOLVE_FILE = """\
+format hardy-interp/1
+kind corona
+mode solve
+algebra hinf
+fdegree 1
+fcoeff 0 0 1 0
+fcoeff 0.5 0 0 0
+delta 0.5
+degree 6
+grid 8 64 0.995
+node 0 0
+node 0.5 0
+node -0.5 0
+node 0 0.5
+node 0 -0.5
+"""
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -300,6 +319,27 @@ class TestCommands:
         assert float(vals["max_residual"]) <= 1e-10
         assert abs(float(vals["grid_norm"]) - float(lines["grid_norm"])) <= 1e-10
 
+    def test_solve_certificate_brackets_grid_norm(self, tmp_path, capsys):
+        f = tmp_path / "solve.txt"
+        f.write_text(SOLVE_FILE)
+        code, out, _ = run_cli(["solve", str(f)], capsys)
+        assert code == 0
+        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+        upper, lower = float(vals["grid_norm"]), float(vals["lower_bound"])
+        assert 0.0 < lower <= upper
+        assert upper - lower <= 1e-6 * max(1.0, upper)
+
+    def test_corona_solve_certificate_lower_bound(self, tmp_path, capsys):
+        f = tmp_path / "corona.txt"
+        f.write_text(CORONA_SOLVE_FILE)
+        code, out, _ = run_cli(["corona", str(f)], capsys)
+        assert code == 0
+        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+        upper, lower = float(vals["solution_norm"]), float(vals["lower_bound"])
+        # the grid optimum of G is 1/delta = 2, attained by G = (0, 2)
+        assert 2.0 - 2e-6 <= lower <= upper <= 2.0 + 2e-6
+        assert upper - lower <= 1e-6 * max(2.0, upper)
+
     def test_schur_solve_verify_rational_roundtrip(self, tmp_path, capsys):
         solve_text = (
             "format hardy-interp/1\nkind solve\nalgebra hinf\nmethod schur\n"
@@ -460,6 +500,21 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_minimax_solve_leaves_scipy_optimize_unloaded(self, tmp_path):
+        f = tmp_path / "solve.txt"
+        f.write_text(SOLVE_FILE)
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        script = ("import io, sys, contextlib\n"
+                  "from hardy_interp import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = cli.main(['solve', {str(f)!r}])\n"
+                  "print(code, 'scipy.optimize' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path):
@@ -480,12 +535,15 @@ class TestDeterminism:
         f.write_text(FAMILY_FILE)
         outs = []
         for threads in ("1", "4"):
-            env = {"HARDY_INTERP_THREADS": threads, "PATH": "/usr/bin:/bin"}
+            src = Path(__file__).resolve().parents[1] / "src"
+            env = {"HARDY_INTERP_THREADS": threads, "PATH": "/usr/bin:/bin",
+                   "PYTHONPATH": str(src)}
             proc = subprocess.run(
                 [sys.executable, "-m", "hardy_interp.cli", "feasible", str(f)],
                 capture_output=True,
                 env={**env},
             )
             assert proc.returncode == 1
+            assert b"verdict infeasible" in proc.stdout
             outs.append(proc.stdout)
         assert outs[0] == outs[1]

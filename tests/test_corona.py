@@ -72,6 +72,34 @@ class TestCoronaCheck:
         assert report.passed
         assert report.kernels_tested == 5 * 64
 
+    def test_cplusb_sweep_drawn_once_per_check(self, monkeypatch):
+        import hardy_interp.corona as corona_module
+        from hardy_interp import family_minimum, sample_model_sphere
+
+        draws = []
+
+        def counting(product, count, seed):
+            draws.append((count, seed))
+            return sample_model_sphere(product, count, seed)
+
+        monkeypatch.setattr(corona_module, "sample_model_sphere", counting)
+        b = BlaschkeProduct((0.0, 0.0))
+        func = VectorAnalyticFunction(AnalyticBasis(CplusB(b), 1),
+                                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        problem = CoronaProblem(func, 0.9)
+        sets = [np.array([0.1, 0.5j]), np.array([-0.3, 0.2 + 0.2j, 0.6]), np.array([0.0])]
+        report = corona_check(problem, sets, samples=32, seed=3)
+        assert draws == [(32, 3)]
+        assert report.passed and report.sets_tested == 3
+        # the same minimum as a fresh draw of the seeded sweep for every set
+        sweep = sample_model_sphere(b, 32, 3)
+        lams = []
+        for pts in sets:
+            fv = func.values(pts)
+            inner = fv @ fv.conj().T - 0.81
+            lams.append(family_minimum(b, pts, 0.5 * (inner + inner.conj().T), sweep)[0])
+        assert report.min_eig == min(lams)
+
     def test_cplusb_refine_finds_violation_the_sweep_misses(self):
         # the 200-vector sweep alone gives min eig +7.2e-5 on this set; the
         # refine from its worst samples reaches a negative eigenvalue

@@ -259,7 +259,7 @@ class TestMinimaxAffine:
         lmat = np.array([0.2, -0.4j])[:, None] ** np.arange(degree + 1)[None, :]
         with pytest.raises(NotConverged) as err:
             minimax_affine(basis, (lmat, np.array([0.3, 0.1])), grid,
-                           tol=1e-6, max_bisections=1)
+                           tol=1e-6, max_rounds=1)
         assert err.value.best is not None
         assert err.value.best.achieved_level > 0
         assert not err.value.best.converged

@@ -264,6 +264,21 @@ class TestTangentialSolve:
         assert res.meets_level is None
 
 
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7])
+    @pytest.mark.parametrize("degree", [2, 5, 10, 20])
+    def test_criterion_4_bracket_contains_grid_optimum(self, degree, tol):
+        # f(0) = 0, f(1/2) = 1/2 in C + z^2 H-infinity: f = 2 z^2 meets the data
+        # with grid norm 0.995^2 * 2 = 1.98005 on the 8 x 128 grid of radius
+        # 0.995, so the bracket must reach down to it
+        problem = TangentialProblem(np.array([0.0, 0.5]), np.ones((2, 1)),
+                                    np.array([0.0, 0.5]), 1.0,
+                                    CplusB(BlaschkeProduct((0.0, 0.0))))
+        res = tangential_solve(problem, degree, disk_grid(8, 128, 0.995), tol=tol)
+        lower = res.minimax.lower_bound
+        assert lower <= 0.995 ** 2 * 2 <= res.grid_norm
+        assert res.grid_norm - lower <= tol * max(1.0, res.grid_norm)
+
+
 class TestVerifySolution:
     def test_constant_against_own_problem(self):
         basis = AnalyticBasis(FullHinf(), 0)
