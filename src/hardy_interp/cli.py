@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .corona import CoronaProblem, corona_check, corona_solve
-from .duality import TruncatedDistanceProblem, distance_dual, distance_primal
+from .duality import TruncatedDistanceProblem, distance
 from .errors import (
     HardyInterpError,
     HypothesisInsufficientAtScale,
@@ -376,8 +376,7 @@ def _cmd_distance(pf: ProblemFile, args, cert: Certificate) -> int:
     basis = [np.array(m, dtype=complex) for m in pf.basis_matrices]
     rank = pf.scalars.get("rank", target.shape[1])
     problem = TruncatedDistanceProblem(target, basis, rank)
-    primal = distance_primal(problem)
-    dual = distance_dual(problem)
+    primal, dual = distance(problem)
     cert.add("primal", primal)
     cert.add("dual", dual)
     cert.add("gap", primal - dual)

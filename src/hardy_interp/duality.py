@@ -9,12 +9,14 @@ factor of rank r = n1 already saturates the dual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "TruncatedDistanceProblem",
+    "distance",
     "distance_primal",
     "distance_dual",
 ]
@@ -124,53 +126,91 @@ def _minimiser(problem: TruncatedDistanceProblem) -> np.ndarray:
     return theta
 
 
-def distance_primal(problem: TruncatedDistanceProblem) -> float:
-    """Distance by direct minimization of the operator norm over the span.
+def _normalised(problem: TruncatedDistanceProblem):
+    """The problem with its target scaled by 2^-e, e the binary exponent of
+    ||A||, so that ||A|| lies in [1/2, 1), and e; (None, 0) for a zero target.
 
-    Returns the exact operator norm at the smoothed-descent minimiser, or
-    ||A|| (theta = 0) if that is lower, so the value is always an upper
-    bound of the true distance and never exceeds ||A||.
+    _MUS and the L-BFGS tolerances are absolute, so they are only relative
+    to ||A|| at this scale.  A power of two scales exactly, also for
+    subnormal entries, so the distance scales back exactly by 2^e.
     """
-    return min(_opnorm(problem.target), _opnorm(_combine(problem, _minimiser(problem))))
+    norm = _opnorm(problem.target)
+    if norm == 0.0:
+        return None, 0
+    e = math.frexp(norm)[1]
+    target = np.ldexp(np.ascontiguousarray(problem.target).view(float), -e).view(complex)
+    return TruncatedDistanceProblem(target, problem.basis, problem.rank), e
 
 
-def distance_dual(problem: TruncatedDistanceProblem) -> float:
-    """Distance by the cyclic-vector dual formula.
+def _primal(problem: TruncatedDistanceProblem, theta: np.ndarray) -> float:
+    return min(_opnorm(problem.target), _opnorm(_combine(problem, theta)))
 
-    Maximizes phi(h1) = || P_perp (A (x) I) h1 || over unit h1, where
-    P_perp projects onto the orthocomplement of span{(S_k (x) I) h1}; the
-    optimal h2 is the normalized residual, so every value returned is phi
-    at a concrete h1 and a lower bound of the distance.
 
-    The seed comes from the primal: at the minimiser, the soft-max weights
-    w_i on the right singular vectors v_i of A + sum theta_k S_k form an
-    optimality density, tr(diag(w) U* S_k V) = 0, and its purification
+def distance(problem: TruncatedDistanceProblem) -> tuple:
+    """(primal, dual): both sides of the distance formula from one minimiser.
+
+    The primal is the exact operator norm at the smoothed-descent minimiser
+    theta*, or ||A|| (theta = 0) if that is lower, so it is always an upper
+    bound of the true distance and never exceeds ||A||.
+
+    The dual maximizes phi(h1) = || P_perp (A (x) I) h1 || over unit h1,
+    where P_perp projects onto the orthocomplement of span{(S_k (x) I) h1};
+    the optimal h2 is the normalized residual, so the value returned is phi
+    at a concrete h1 and a lower bound of the distance.  Its seed comes from
+    theta*: there the soft-max weights w_i on the right singular vectors v_i
+    of A + sum theta_k S_k form an optimality density,
+    tr(diag(w) U* S_k V) = 0, and its purification
     h1 = sum_i sqrt(w_i) v_i (x) e_i attains the top singular value.  The
     seed is mixed with a little of the uniform density (_SEED_MIX) and
     polished once by quasi-Newton ascent of phi(h)/||h||.
+
+    Both are computed with A scaled into operator norm [1/2, 1) and scaled
+    back, so distance(c A, S) is c distance(A, S) exactly when c is a power
+    of two.  A zero target gives (0, 0).
     """
+    unit, e = _normalised(problem)
+    if unit is None:
+        return 0.0, 0.0
+    theta = _minimiser(unit)
+    return math.ldexp(_primal(unit, theta), e), math.ldexp(_dual(unit, theta), e)
+
+
+def distance_primal(problem: TruncatedDistanceProblem) -> float:
+    """The primal of ``distance``, without the dual's polish."""
+    unit, e = _normalised(problem)
+    return 0.0 if unit is None else math.ldexp(_primal(unit, _minimiser(unit)), e)
+
+
+def distance_dual(problem: TruncatedDistanceProblem) -> float:
+    """The dual of ``distance``."""
+    return distance(problem)[1]
+
+
+def _dual(problem: TruncatedDistanceProblem, theta: np.ndarray) -> float:
     import scipy.optimize
 
     _, n1 = problem.dims
     r = problem.rank
     s = len(problem.basis)
-    big_b = np.kron(problem.target, np.eye(r))
-    big_s = [np.kron(b, np.eye(r)) for b in problem.basis]
+    stack = np.array(problem.basis)
     dim = n1 * r
 
+    # h is H = h.reshape(n1, r) row by row, so (M (x) I_r) h = vec(M H) and
+    # (M (x) I_r)* y = vec(M* Y): no Kronecker matrix, memory linear in r.
+    # The residual of (A (x) I) h against the span of (S_k (x) I) h is
+    # (M (x) I) h with M = A - sum beta_k S_k, and its gradient is M* Y.
     def phi_grad(h):
-        y = big_b @ h
+        hm = h.reshape(n1, r)
+        m = problem.target
         if s:
-            w = np.column_stack([c @ h for c in big_s])
-            beta, *_ = np.linalg.lstsq(w, y, rcond=None)
-            y = y - w @ beta
+            w = (stack @ hm).reshape(s, -1).T
+            beta, *_ = np.linalg.lstsq(w, (m @ hm).reshape(-1), rcond=None)
+            m = m - np.tensordot(beta, stack, 1)
+        y = m @ hm
         phi = float(np.linalg.norm(y))
         if phi < 1e-300:
             return 0.0, np.zeros(dim, dtype=complex)
-        g = big_b.conj().T @ y
-        for a, c in enumerate(big_s):
-            g -= np.conj(beta[a]) * (c.conj().T @ y)
-        return phi, g / phi
+        return phi, (m.conj().T @ y).reshape(-1) / phi
 
     def neg_quotient(x):
         hh = x[:dim] + 1j * x[dim:]
@@ -181,7 +221,7 @@ def distance_dual(problem: TruncatedDistanceProblem) -> float:
         gq = g / nh - (phi / nh ** 3) * hh
         return -phi / nh, -np.concatenate([gq.real, gq.imag])
 
-    _, _, weights, vh = _softmax(problem, _minimiser(problem), _MUS[-1])
+    _, _, weights, vh = _softmax(problem, theta, _MUS[-1])
     density = np.zeros(n1)
     density[:weights.size] = weights
     density = (1.0 - _SEED_MIX) * density + _SEED_MIX / n1

@@ -425,6 +425,20 @@ class TestCommands:
         # the distance computation takes no tolerance or seed
         assert "config.tol" not in vals and "config.seed" not in vals
 
+    def test_distance_runs_one_minimiser(self, tmp_path, capsys, monkeypatch):
+        # primal and dual share theta*: one soft-max descent per problem
+        from hardy_interp import duality
+
+        calls = []
+        minimiser = duality._minimiser
+        monkeypatch.setattr(duality, "_minimiser",
+                            lambda problem: calls.append(1) or minimiser(problem))
+        f = tmp_path / "d.txt"
+        f.write_text(DISTANCE_FILE)
+        code, _, _ = run_cli(["distance", str(f)], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
 
 def _is_number(token):
     try:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hardy_interp import TruncatedDistanceProblem, distance_dual, distance_primal
+from hardy_interp import TruncatedDistanceProblem, distance, distance_dual, distance_primal
 
 
 def random_instance(rng, max_dim=6, max_basis=3):
@@ -130,3 +130,41 @@ class TestDuality:
             bigger = distance_dual(TruncatedDistanceProblem(target, basis,
                                                             rank=n1 + 2))
             assert abs(base - bigger) <= 1e-8
+
+    def test_high_tensor_rank_matches_rank_n1(self):
+        # the dual is formed without Kronecker matrices, so rank 1000 costs
+        # memory linear in the rank and changes nothing
+        rng = np.random.default_rng(19)
+        target = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        basis = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))]
+        base = distance_dual(TruncatedDistanceProblem(target, basis))
+        bigger = distance_dual(TruncatedDistanceProblem(target, basis, rank=1000))
+        assert abs(base - bigger) <= 1e-8
+
+
+class TestDistance:
+    def test_matches_primal_and_dual(self):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            p = random_instance(rng)
+            assert distance(p) == (distance_primal(p), distance_dual(p))
+
+    def test_scale_covariance(self):
+        rng = np.random.default_rng(29)
+        for _ in range(4):
+            p = random_instance(rng)
+            primal, dual = distance(p)
+            for c in (2.0 ** -30, 2.0 ** 20):
+                scaled = TruncatedDistanceProblem(c * p.target, p.basis)
+                assert distance(scaled) == (c * primal, c * dual)
+            c = 1e-9
+            scaled = distance(TruncatedDistanceProblem(c * p.target, p.basis))
+            assert scaled == pytest.approx((c * primal, c * dual), rel=1e-8)
+
+    def test_tiny_target(self):
+        # distance from I to span{diag(1, 2)} is 1/3, at theta = -2/3
+        basis = [np.diag([1.0, 2.0]).astype(complex)]
+        primal, dual = distance(TruncatedDistanceProblem(1e-200 * np.eye(2), basis))
+        assert primal == pytest.approx(1e-200 / 3, rel=1e-7)
+        assert dual == pytest.approx(1e-200 / 3, rel=1e-7)
+        assert distance(TruncatedDistanceProblem(np.zeros((2, 2)), basis)) == (0.0, 0.0)
