@@ -4,7 +4,14 @@ unit disk, with kernel-family feasibility tests, constructive interpolants,
 and a finite-truncation check of the operator-distance duality."""
 
 from .corona import CoronaProblem, CoronaReport, corona_check, corona_solve, grid_min_norm
-from .duality import TruncatedDistanceProblem, distance, distance_dual, distance_primal
+from .duality import (
+    DistanceSolution,
+    TruncatedDistanceProblem,
+    distance,
+    distance_dual,
+    distance_primal,
+    solve_distance,
+)
 from .errors import (
     DegenerateBoundaryData,
     DegreeTooSmall,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .corona import CoronaProblem, corona_check, corona_solve
-from .duality import TruncatedDistanceProblem, distance
+from .duality import TruncatedDistanceProblem, solve_distance
 from .errors import (
     HardyInterpError,
     HypothesisInsufficientAtScale,
@@ -376,11 +376,12 @@ def _cmd_distance(pf: ProblemFile, args, cert: Certificate) -> int:
     basis = [np.array(m, dtype=complex) for m in pf.basis_matrices]
     rank = pf.scalars.get("rank", target.shape[1])
     problem = TruncatedDistanceProblem(target, basis, rank)
-    primal, dual = distance(problem)
-    cert.add("primal", primal)
-    cert.add("dual", dual)
-    cert.add("gap", primal - dual)
+    solution = solve_distance(problem)
+    cert.add("primal", solution.primal)
+    cert.add("dual", solution.dual)
+    cert.add("gap", solution.primal - solution.dual)
     cert.add("rank", problem.rank)
+    cert.add("rounds", solution.rounds)
     return 0
 
 

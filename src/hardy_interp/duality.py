@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DistanceSolution",
     "TruncatedDistanceProblem",
     "distance",
     "distance_primal",
     "distance_dual",
+    "solve_distance",
 ]
 
 
@@ -28,9 +30,10 @@ class TruncatedDistanceProblem:
 
     Every matrix must have a finite squared Frobenius norm (so non-finite
     entries, and entries whose squares overflow, are rejected), the basis
-    matrices must be linearly independent (Gram of vectorizations
-    nonsingular within 1e-10), and r >= n1, which makes the dual formula
-    exact at this truncation.
+    matrices must be linearly independent (Gram of the vectorizations, each
+    scaled to unit length, nonsingular within 1e-10, so the test does not
+    depend on the scale of any basis matrix), and r >= n1, which makes the
+    dual formula exact at this truncation.
     """
 
     target: np.ndarray
@@ -52,12 +55,16 @@ class TruncatedDistanceProblem:
         if self.rank < n1:
             raise ValueError(f"tensor rank {self.rank} below n1 = {n1}")
         if self.basis:
+            # Scale each vectorization by its largest entry (so tiny entries
+            # do not underflow when squared), then to unit length; a zero
+            # matrix stays zero and makes the Gram singular.
             vecs = np.stack([b.reshape(-1) for b in self.basis])
-            gram = vecs @ vecs.conj().T
-            lam = float(np.linalg.eigvalsh(gram)[0])
-            if lam <= 1e-10 * max(1.0, float(np.abs(gram).max())):
+            vecs /= np.maximum(np.abs(vecs).max(axis=1, keepdims=True), np.finfo(float).tiny)
+            vecs /= np.maximum(np.linalg.norm(vecs, axis=1, keepdims=True), 1.0)
+            lam = float(np.linalg.eigvalsh(vecs @ vecs.conj().T)[0])
+            if lam <= 1e-10:
                 raise ValueError(
-                    f"basis matrices are not independent (Gram min eig {lam:.3e})"
+                    f"basis matrices are not independent (normalised Gram min eig {lam:.3e})"
                 )
 
     @property
@@ -65,74 +72,31 @@ class TruncatedDistanceProblem:
         return self.target.shape
 
 
-def _combine(problem: TruncatedDistanceProblem, theta: np.ndarray) -> np.ndarray:
-    m = problem.target.astype(complex).copy()
-    for k, b in enumerate(problem.basis):
-        m = m + (theta[2 * k] + 1j * theta[2 * k + 1]) * b
-    return m
+@dataclass
+class DistanceSolution:
+    """Both sides of the distance formula and the Newton steps they took.
+
+    ``primal`` is an upper bound of the distance (an exact operator norm),
+    ``dual`` a lower bound (the cyclic-vector formula at a concrete h1, or a
+    weak-duality bound), and ``rounds`` counts the barrier's Newton steps.
+    """
+
+    primal: float
+    dual: float
+    rounds: int
 
 
 def _opnorm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-# Smoothing levels of the soft-max continuation; the last one sets both the
-# primal's accuracy (error of order mu * log n) and the dual's seed weights.
-_MUS = (1e-2, 1e-4, 1e-6, 1e-8)
-
-# Share of the dual seed spread evenly over all right singular vectors, so
-# the seed has full Schmidt rank.  A rank-one seed (pure top singular
-# vector) can sit where the span of (S_k (x) I) h1 degenerates and phi is
-# discontinuous: on 8 of the 100 criterion-6 instances such seeds returned
-# duals between 3e-7 and 2e-4 instead of the distance (e.g. n2 = 3, n1 = 2,
-# three basis matrices: 2.7e-7 against 0.709).
-_SEED_MIX = 1e-3
-
-
-def _softmax(problem: TruncatedDistanceProblem, theta: np.ndarray, mu: float):
-    """Soft-max mu * log sum exp(sigma_i / mu) of the singular values of
-    A + sum theta_k S_k, its gradient in theta, the soft-max weights and the
-    right singular vectors (rows of vh)."""
-    u, sv, vh = np.linalg.svd(_combine(problem, theta))
-    weights = np.exp((sv - sv[0]) / mu)
-    total = float(weights.sum())
-    weights /= total
-    grad = np.empty(2 * len(problem.basis))
-    for k, b in enumerate(problem.basis):
-        inner = np.einsum("ij,ij->j", u[:, :sv.size].conj(), b @ vh[:sv.size].conj().T)
-        grad[2 * k] = float(weights @ inner.real)
-        grad[2 * k + 1] = float(weights @ -inner.imag)
-    return sv[0] + mu * np.log(total), grad, weights, vh
-
-
-def _minimiser(problem: TruncatedDistanceProblem) -> np.ndarray:
-    """Coefficients theta minimizing the operator norm of A + sum theta_k S_k.
-
-    L-BFGS descent on the soft-max of the singular values, started at
-    theta = 0 and continued through the smoothing levels in _MUS.  The
-    soft-max is convex and differentiable, so one start suffices and the
-    nonsmooth ties of the top singular value cause no stalls.
-    """
-    import scipy.optimize
-
-    theta = np.zeros(2 * len(problem.basis))
-    if not problem.basis:
-        return theta
-    for mu in _MUS:
-        theta = scipy.optimize.minimize(
-            lambda t: _softmax(problem, t, mu)[:2], theta, jac=True, method="L-BFGS-B",
-            options=dict(maxiter=500, ftol=1e-18, gtol=1e-14),
-        ).x
-    return theta
-
-
 def _normalised(problem: TruncatedDistanceProblem):
     """The problem with its target scaled by 2^-e, e the binary exponent of
     ||A||, so that ||A|| lies in [1/2, 1), and e; (None, 0) for a zero target.
 
-    _MUS and the L-BFGS tolerances are absolute, so they are only relative
-    to ||A|| at this scale.  A power of two scales exactly, also for
-    subnormal entries, so the distance scales back exactly by 2^e.
+    The barrier's stopping gap is absolute, so it is only relative to ||A||
+    at this scale.  A power of two scales exactly, also for subnormal
+    entries, so the distance scales back exactly by 2^e.
     """
     norm = _opnorm(problem.target)
     if norm == 0.0:
@@ -142,94 +106,176 @@ def _normalised(problem: TruncatedDistanceProblem):
     return TruncatedDistanceProblem(target, problem.basis, problem.rank), e
 
 
-def _primal(problem: TruncatedDistanceProblem, theta: np.ndarray) -> float:
-    return min(_opnorm(problem.target), _opnorm(_combine(problem, theta)))
+# The barrier's settings, at the normalised scale ||A|| in [1/2, 1): tau grows
+# by _TAU_GROWTH once the squared Newton decrement is below _CENTRED; the
+# solve stops once upper - lower <= _GAP, or after _MAX_STEPS Newton steps.
+_TAU_GROWTH = 30.0
+_CENTRED = 0.5
+_GAP = 1e-10
+_MAX_STEPS = 200
+
+# A multiplier whose trace norm after projection onto tr(W S_k) = 0 is below
+# this share of its norm before is rounding residue (A in span S), not a bound:
+# for A = S_1 = 0.75 diag(1, -1) it gave a lower bound of 0.75 against an
+# upper bound of 0.11.
+_KEPT = 1e-8
 
 
-def distance(problem: TruncatedDistanceProblem) -> tuple:
-    """(primal, dual): both sides of the distance formula from one minimiser.
+def _barrier(problem: TruncatedDistanceProblem):
+    """Minimize t subject to X(theta, t) = [[t I, M], [M*, t I]] > 0, with
+    M = A + sum theta_k S_k, by a primal log-barrier Newton method (Boyd and
+    Vandenberghe, Convex Optimization, ch. 11) on the 2s + 1 real variables
+    x = (Re theta_1, Im theta_1, ..., t); X = X0 + sum_j x_j B_j is affine.
 
-    The primal is the exact operator norm at the smoothed-descent minimiser
-    theta*, or ||A|| (theta = 0) if that is lower, so it is always an upper
-    bound of the true distance and never exceeds ||A||.
+    Returns (upper, lower, w, steps).  upper is the exact operator norm of M
+    at the best iterate; theta = 0 is the first, so upper <= ||A||.  lower is
+    a weak-duality bound: for every W (n1 x n2) with tr(W S_k) = 0 and every
+    theta, Re tr(W A) = Re tr(W M) <= ||W||_1 ||M||.  Its W is the off-diagonal
+    block of the barrier's multiplier X^-1, linearised along the Newton step,
+    projected exactly onto tr(W S_k) = 0; w is the W of the best bound, or
+    None.  A LAPACK failure (such as a Cholesky that finds X not positive
+    definite) or the step cap ends the solve with the best bracket so far,
+    which holds at every iterate.
+    """
+    a = problem.target
+    n2, n1 = a.shape
+    size = n1 + n2
+    s = len(problem.basis)
+    # Newton steps do not depend on the scale of theta_k, so each S_k is
+    # scaled to largest entry 1: tiny or huge bases give no tiny or huge
+    # Hessian entries.
+    basis = [b / np.abs(b).max() for b in problem.basis]
+    x0 = np.zeros((size, size), dtype=complex)
+    x0[:n2, n2:], x0[n2:, :n2] = a, a.conj().T
+    blocks = np.zeros((2 * s + 1, size, size), dtype=complex)
+    for k, b in enumerate(basis):
+        for j, c in ((2 * k, 1.0), (2 * k + 1, 1j)):
+            blocks[j, :n2, n2:], blocks[j, n2:, :n2] = c * b, np.conj(c) * b.conj().T
+    blocks[-1] = np.eye(size)
+    flat = blocks.reshape(2 * s + 1, -1)
+    # tr(W S_k) = <vec(S_k*), vec(W)>: an orthonormal basis of those vectors.
+    span = np.linalg.qr(np.array([b.conj().T.reshape(-1) for b in basis])
+                        .reshape(s, n1 * n2).T)[0]
 
-    The dual maximizes phi(h1) = || P_perp (A (x) I) h1 || over unit h1,
-    where P_perp projects onto the orthocomplement of span{(S_k (x) I) h1};
-    the optimal h2 is the normalized residual, so the value returned is phi
-    at a concrete h1 and a lower bound of the distance.  Its seed comes from
-    theta*: there the soft-max weights w_i on the right singular vectors v_i
-    of A + sum theta_k S_k form an optimality density,
-    tr(diag(w) U* S_k V) = 0, and its purification
-    h1 = sum_i sqrt(w_i) v_i (x) e_i attains the top singular value.  The
-    seed is mixed with a little of the uniform density (_SEED_MIX) and
-    polished once by quasi-Newton ascent of phi(h)/||h||.
+    top = _opnorm(a)
+    x = np.zeros(2 * s + 1)
+    x[-1] = 2.0 * top
+    upper, lower, best_w, tau, steps = top, 0.0, None, 0.0, 0
+    try:
+        while True:
+            xm = x0 + (x @ flat).reshape(size, size)
+            linv = np.linalg.inv(np.linalg.cholesky(xm))
+            upper = min(upper, _opnorm(xm[:n2, n2:]))
+            y = linv.conj().T @ linv
+            yb = y @ blocks
+            # Gradient and Hessian of -log det X: -tr(Y B_j), tr(Y B_j Y B_l).
+            grad = -np.einsum("jaa->j", yb).real
+            hess = np.einsum("jab,lba->jl", yb, yb).real
+            barrier_t, tau = grad[-1], tau or -grad[-1]
+            for growth in (1.0, _TAU_GROWTH):
+                tau *= growth
+                grad[-1] = barrier_t + tau
+                dx = -np.linalg.solve(hess, grad)
+                decrement = -float(grad @ dx)
+                if decrement >= _CENTRED:
+                    break
+            dxm = (dx @ flat).reshape(size, size)
+            # Multiplier Y - Y dX Y along the step; W is minus its (2, 1) block.
+            w = y[n2:] @ dxm @ y[:, :n2] - y[n2:, :n2]
+            before = np.linalg.norm(w)
+            w -= (span @ (span.conj().T @ w.reshape(-1))).reshape(n1, n2)
+            trace_norm = float(np.linalg.svd(w, compute_uv=False).sum())
+            if trace_norm > _KEPT * before:
+                bound = float(np.sum(w * a.T).real) / trace_norm
+                if bound > lower:
+                    lower, best_w = bound, w
+            if upper - lower <= _GAP or steps == _MAX_STEPS:
+                break
+            # Exact line search: with X = L L*, -log det (X + a dX) changes by
+            # -sum log(1 + a lam), lam the eigenvalues of L^-1 dX L^-*.
+            lam = np.linalg.eigvalsh(linv @ dxm @ linv.conj().T)
+            x += _line_minimum(tau * dx[-1], lam) * dx
+            steps += 1
+    except np.linalg.LinAlgError:
+        pass
+    return upper, lower, best_w, steps
+
+
+def _line_minimum(slope: float, lam: np.ndarray) -> float:
+    """The minimizer of slope a - sum log(1 + a lam) over a > 0 with every
+    1 + a lam > 0, by Newton's method safeguarded by bisection; the slope at
+    a = 0 is negative along a descent direction."""
+    lo, hi = 0.0, -1.0 / lam[0] if lam[0] < 0.0 else math.inf
+    step = min(1.0, 0.5 * hi)
+    for _ in range(60):
+        q = lam / (1.0 + step * lam)
+        slope_here = slope - float(q.sum())
+        if slope_here < 0.0:
+            lo = step
+        else:
+            hi = step
+        curvature = float(q @ q)
+        nxt = step - slope_here / curvature if curvature > 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < math.inf else 2.0 * step
+        if abs(nxt - step) <= 1e-6 * step:
+            return nxt
+        step = nxt
+    return step
+
+
+def _phi(problem: TruncatedDistanceProblem, h: np.ndarray) -> float:
+    """phi(h1) = || P_perp (A (x) I) h1 ||, P_perp the projection onto the
+    orthocomplement of span{(S_k (x) I) h1}, for h1 = vec(H) with H = h
+    (n1 x k, k <= r columns; padding to r columns changes nothing).  So
+    (M (x) I) h1 = vec(M H), and no Kronecker matrix is formed."""
+    y = (problem.target @ h).reshape(-1)
+    if problem.basis:
+        cols = (np.array(problem.basis) @ h).reshape(len(problem.basis), -1).T
+        beta, *_ = np.linalg.lstsq(cols, y, rcond=None)
+        y = y - cols @ beta
+    return float(np.linalg.norm(y))
+
+
+def solve_distance(problem: TruncatedDistanceProblem) -> DistanceSolution:
+    """Both sides of the distance formula from one barrier solve.
+
+    The primal is the exact operator norm at the barrier's best iterate, so
+    it is always an upper bound of the true distance and never exceeds
+    ||A||.  The dual is read off the barrier's multiplier W (n1 x n2, with
+    tr(W S_k) = 0): its purification h1 = sum_i sqrt(sigma_i / ||W||_1)
+    p_i (x) e_i, from W = sum_i sigma_i p_i q_i*, is a unit vector with
+    <(A (x) I) h1, h2> = tr(W A) / ||W||_1 for the unit
+    h2 = sum_i sqrt(sigma_i / ||W||_1) q_i (x) e_i, orthogonal to
+    (S (x) I) h1.  The dual printed is phi(h1) at that concrete h1 (phi is
+    the supremum over such h2), combined by max with the weak-duality bound
+    Re tr(W A) / ||W||_1; it is 0 if no multiplier survived projection.
 
     Both are computed with A scaled into operator norm [1/2, 1) and scaled
-    back, so distance(c A, S) is c distance(A, S) exactly when c is a power
-    of two.  A zero target gives (0, 0).
+    back, so the distance of c A is c times that of A exactly when c is a
+    power of two.  A zero target gives (0, 0) in no steps.
     """
     unit, e = _normalised(problem)
     if unit is None:
-        return 0.0, 0.0
-    theta = _minimiser(unit)
-    return math.ldexp(_primal(unit, theta), e), math.ldexp(_dual(unit, theta), e)
+        return DistanceSolution(0.0, 0.0, 0)
+    upper, lower, w, steps = _barrier(unit)
+    if w is not None:
+        p, sigma, _ = np.linalg.svd(w, full_matrices=False)
+        lower = max(lower, _phi(unit, p * np.sqrt(sigma / sigma.sum())))
+    return DistanceSolution(math.ldexp(upper, e), math.ldexp(lower, e), steps)
+
+
+def distance(problem: TruncatedDistanceProblem) -> tuple:
+    """(primal, dual) of ``solve_distance``."""
+    solution = solve_distance(problem)
+    return solution.primal, solution.dual
 
 
 def distance_primal(problem: TruncatedDistanceProblem) -> float:
-    """The primal of ``distance``, without the dual's polish."""
-    unit, e = _normalised(problem)
-    return 0.0 if unit is None else math.ldexp(_primal(unit, _minimiser(unit)), e)
+    """The primal (upper bound) of ``distance``."""
+    return distance(problem)[0]
 
 
 def distance_dual(problem: TruncatedDistanceProblem) -> float:
-    """The dual of ``distance``."""
+    """The dual (lower bound) of ``distance``."""
     return distance(problem)[1]
-
-
-def _dual(problem: TruncatedDistanceProblem, theta: np.ndarray) -> float:
-    import scipy.optimize
-
-    _, n1 = problem.dims
-    r = problem.rank
-    s = len(problem.basis)
-    stack = np.array(problem.basis)
-    dim = n1 * r
-
-    # h is H = h.reshape(n1, r) row by row, so (M (x) I_r) h = vec(M H) and
-    # (M (x) I_r)* y = vec(M* Y): no Kronecker matrix, memory linear in r.
-    # The residual of (A (x) I) h against the span of (S_k (x) I) h is
-    # (M (x) I) h with M = A - sum beta_k S_k, and its gradient is M* Y.
-    def phi_grad(h):
-        hm = h.reshape(n1, r)
-        m = problem.target
-        if s:
-            w = (stack @ hm).reshape(s, -1).T
-            beta, *_ = np.linalg.lstsq(w, (m @ hm).reshape(-1), rcond=None)
-            m = m - np.tensordot(beta, stack, 1)
-        y = m @ hm
-        phi = float(np.linalg.norm(y))
-        if phi < 1e-300:
-            return 0.0, np.zeros(dim, dtype=complex)
-        return phi, (m.conj().T @ y).reshape(-1) / phi
-
-    def neg_quotient(x):
-        hh = x[:dim] + 1j * x[dim:]
-        nh = float(np.linalg.norm(hh))
-        phi, g = phi_grad(hh)
-        if nh < 1e-300 or phi == 0.0:
-            return 0.0, np.zeros_like(x)
-        gq = g / nh - (phi / nh ** 3) * hh
-        return -phi / nh, -np.concatenate([gq.real, gq.imag])
-
-    _, _, weights, vh = _softmax(problem, theta, _MUS[-1])
-    density = np.zeros(n1)
-    density[:weights.size] = weights
-    density = (1.0 - _SEED_MIX) * density + _SEED_MIX / n1
-    seed = np.zeros((n1, r), dtype=complex)
-    seed[:, :n1] = vh.conj().T * np.sqrt(density)
-    h1 = seed.reshape(-1)
-    res = scipy.optimize.minimize(
-        neg_quotient, np.concatenate([h1.real, h1.imag]), jac=True, method="L-BFGS-B",
-        options=dict(maxiter=300, ftol=1e-18, gtol=1e-14),
-    )
-    return max(phi_grad(h1)[0], float(-res.fun))

@@ -426,18 +426,30 @@ class TestCommands:
         assert "config.tol" not in vals and "config.seed" not in vals
 
     def test_distance_runs_one_minimiser(self, tmp_path, capsys, monkeypatch):
-        # primal and dual share theta*: one soft-max descent per problem
+        # primal and dual come from one barrier solve per problem
         from hardy_interp import duality
 
         calls = []
-        minimiser = duality._minimiser
-        monkeypatch.setattr(duality, "_minimiser",
-                            lambda problem: calls.append(1) or minimiser(problem))
+        barrier = duality._barrier
+        monkeypatch.setattr(duality, "_barrier",
+                            lambda problem: calls.append(1) or barrier(problem))
         f = tmp_path / "d.txt"
         f.write_text(DISTANCE_FILE)
         code, _, _ = run_cli(["distance", str(f)], capsys)
         assert code == 0
         assert len(calls) == 1
+
+    def test_distance_prints_rounds(self, tmp_path, capsys):
+        # the Newton steps of the barrier solve, after the unchanged lines
+        f = tmp_path / "d.txt"
+        f.write_text(DISTANCE_FILE.replace("arow 0 0 -1 0", "arow 0 0 -1 0.5"))
+        code, out, _ = run_cli(["distance", str(f)], capsys)
+        assert code == 0
+        keys = [ln.partition(" ")[0] for ln in out.splitlines()]
+        start = keys.index("primal")
+        assert keys[start:start + 5] == ["primal", "dual", "gap", "rank", "rounds"]
+        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+        assert int(vals["rounds"]) > 0
 
 
 def _is_number(token):
@@ -523,6 +535,21 @@ class TestImport:
                   "from hardy_interp import cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   f"    code = cli.main(['solve', {str(f)!r}])\n"
+                  "print(code, 'scipy.optimize' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
+    def test_distance_leaves_scipy_optimize_unloaded(self, tmp_path):
+        f = tmp_path / "distance.txt"
+        f.write_text(DISTANCE_FILE)
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        script = ("import io, sys, contextlib\n"
+                  "from hardy_interp import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = cli.main(['distance', {str(f)!r}])\n"
                   "print(code, 'scipy.optimize' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})

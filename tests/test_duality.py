@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from hardy_interp import TruncatedDistanceProblem, distance, distance_dual, distance_primal
+from hardy_interp import (
+    TruncatedDistanceProblem,
+    distance,
+    distance_dual,
+    distance_primal,
+    solve_distance,
+)
+from hardy_interp import duality
 
 
 def random_instance(rng, max_dim=6, max_basis=3):
@@ -39,6 +46,14 @@ class TestValidation:
         a = np.ones((2, 3), dtype=complex)
         with pytest.raises(ValueError):
             TruncatedDistanceProblem(a, [], rank=2)
+
+    def test_small_independent_basis_accepted(self):
+        # independence does not depend on the scale of the basis matrices
+        basis = [1e-6 * np.diag([1.0, 0.0]), 1e-6 * np.diag([0.0, 1.0])]
+        p = TruncatedDistanceProblem(np.eye(2), basis)
+        assert len(p.basis) == 2
+        with pytest.raises(ValueError):
+            TruncatedDistanceProblem(np.eye(2), [basis[0], 1e-3 * basis[0]])
 
     def test_default_rank_is_n1(self):
         a = np.ones((2, 3), dtype=complex)
@@ -168,3 +183,28 @@ class TestDistance:
         assert primal == pytest.approx(1e-200 / 3, rel=1e-7)
         assert dual == pytest.approx(1e-200 / 3, rel=1e-7)
         assert distance(TruncatedDistanceProblem(np.zeros((2, 2)), basis)) == (0.0, 0.0)
+
+    def test_basis_scale_does_not_change_distance(self):
+        p = criterion_6_instance(3)
+        for c in (1e-6, 1e-200):
+            scaled = TruncatedDistanceProblem(p.target, [c * b for b in p.basis], p.rank)
+            assert distance(scaled) == pytest.approx(distance(p), rel=1e-9)
+
+    def test_target_equal_to_basis(self):
+        # A = S_1: the multiplier projects to rounding residue, which must not
+        # be taken as a lower bound (it gave 0.75 above the upper bound)
+        a = 0.75 * np.diag([1.0, -1.0])
+        primal, dual = distance(TruncatedDistanceProblem(a, [a]))
+        assert primal <= 1e-9 * 0.75
+        assert 0.0 <= dual <= primal
+
+    def test_step_cap_returns_valid_bracket(self, monkeypatch):
+        # every iterate brackets the distance, so a capped solve still does
+        p = criterion_6_instance(7)
+        exact = solve_distance(p)
+        monkeypatch.setattr(duality, "_MAX_STEPS", 3)
+        capped = solve_distance(p)
+        assert capped.rounds == 3
+        assert exact.dual - 1e-12 <= capped.primal <= np.linalg.norm(p.target, 2)
+        assert 0.0 <= capped.dual <= exact.primal + 1e-12
+        assert capped.primal - capped.dual > exact.primal - exact.dual
