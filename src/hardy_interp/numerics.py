@@ -164,10 +164,11 @@ def disk_grid(radial: int, angular: int, max_radius: float) -> DiskGrid:
 class MinimaxSolution:
     """Result of the constrained minimax solve.
 
-    coefficients has one row per component; achieved_level is the exact grid
-    maximum of the evaluated vector norm at those coefficients, an upper
-    bound on the grid optimum; lower_bound is a lower bound on it by weak
-    duality; iterations counts Newton steps.
+    coefficients has one row per component; achieved_level is the exact
+    maximum over the whole grid of the evaluated vector norm at those
+    coefficients, an upper bound on the grid optimum; lower_bound is a lower
+    bound on it by weak duality (the solve runs on the outer circle plus any
+    grid points above it); iterations counts Newton steps over all passes.
     """
 
     coefficients: np.ndarray
@@ -207,25 +208,26 @@ def minimax_affine(
         Affine system on the concatenated coefficient vector (component
         blocks in order).  Consistency is checked by least squares.
     grid : DiskGrid
-        The sampling grid the basis was evaluated on (size check only).
+        The sampling grid the basis was evaluated on; the solve starts from
+        its points of largest modulus.
     tol : float
         Stop once upper - lower <= tol * max(1, upper).
     max_rounds : int
-        Newton steps allowed.
+        Newton steps allowed, summed over all passes.
 
     Notes
     -----
-    Values v = y0 + U s, U orthonormal over the constraint null space, meet
-    Lc = b to rounding for every s.  "Minimize t with |v_g| <= t at every
-    grid point g" is solved by a primal log-barrier Newton method (Boyd and
-    Vandenberghe, Convex Optimization, ch. 11).  Upper bound: the grid
-    maximum at the best iterate.  Lower bound (weak duality): with w from
-    the barrier projected onto range(U)-perp, Re <w, y0> = Re <w, v> <=
-    max_g |v_g| sum_g |w_g| for every s.
+    For a basis analytic on the closed disk the norm is subharmonic, so the
+    outer circle of the grid bounds its inner radii (maximum modulus).  The
+    solve (_barrier) runs on the grid points of largest modulus; points
+    whose norm then exceeds the solved rows' level join them and it runs
+    again.  achieved_level is the exact maximum over the whole grid, and a
+    subset's lower bound is a lower bound for the whole grid.
 
     Raises InfeasibleConstraints for inconsistent systems and NotConverged
     (carrying the best solution) if the gap does not reach tol within
-    max_rounds Newton steps.
+    max_rounds Newton steps, or if no grid point exceeds the solved rows'
+    level while the gap is still open.
     """
     if isinstance(basis_eval, np.ndarray) and basis_eval.ndim == 2:
         mats = [np.asarray(basis_eval, dtype=complex)]
@@ -262,15 +264,47 @@ def minimax_affine(
         rank = int(np.sum(sv > sv[0] * 1e-12)) if sv.size else 0
         null = vh[rank:].conj().T
 
-    y0 = values(c0)
-    base_level = float(_row_norms(y0).max()) if gsize else 0.0
-    # U: an orthonormal basis of the values of the constraint null space.
-    u, sv, vh = np.linalg.svd(values(null).reshape(gsize * m, null.shape[1]),
-                          full_matrices=False)
+    y0, span = values(c0), values(null)
+    modulus = np.abs(grid.points)
+    rows = modulus >= modulus.max(initial=0.0) * (1.0 - 1e-12)
+    steps, lower = 0, 0.0
+    while True:
+        x, pass_lower, pass_steps = _barrier(y0[rows], span[rows], tol, max_rounds - steps)
+        steps, lower = steps + pass_steps, max(lower, pass_lower)
+        coeffs = c0 + null @ x
+        norms = _row_norms(values(coeffs))
+        achieved = float(norms.max(initial=0.0))
+        converged = achieved - lower <= tol * max(1.0, achieved)
+        added = ~rows & (norms > norms[rows].max(initial=0.0))
+        if converged or steps >= max_rounds or not added.any():
+            break
+        rows |= added
+
+    solution = MinimaxSolution(coeffs.reshape(m, nb), achieved, steps, converged, lower)
+    if not converged:
+        raise NotConverged(f"gap {achieved - lower:.3e} after {steps} steps", best=solution)
+    return solution
+
+
+def _barrier(y0: np.ndarray, span: np.ndarray, tol: float, max_rounds: int):
+    """Minimize max_g |y0_g + span_g x| over x, on the selected grid rows.
+
+    y0 (rows, m) holds the values of a solution of Lc = b and span (rows, m,
+    k) those of a basis of the constraint null space.  Values v = y0 + U s,
+    U orthonormal over the range of span, meet Lc = b to rounding for every
+    s.  "Minimize t with |v_g| <= t at every row g" is solved by a primal
+    log-barrier Newton method (Boyd and Vandenberghe, Convex Optimization,
+    ch. 11).  Upper bound: the maximum at the best iterate.  Lower bound
+    (weak duality): with w from the barrier projected onto range(U)-perp,
+    Re <w, y0> = Re <w, v> <= max_g |v_g| sum_g |w_g| for every s.  Returns
+    the best iterate's x, the lower bound and the Newton steps taken.
+    """
+    gsize, m = y0.shape
+    base_level = float(_row_norms(y0).max(initial=0.0))
+    u, sv, vh = np.linalg.svd(span.reshape(gsize * m, span.shape[2]), full_matrices=False)
     r = int(np.sum(sv > sv[0] * 1e-13)) if sv.size else 0
     if r == 0 or base_level <= tol * 1e-6:
-        lower = base_level if r == 0 else 0.0
-        return MinimaxSolution(c0.reshape(m, nb).copy(), base_level, 0, True, lower)
+        return np.zeros(span.shape[2], dtype=complex), base_level if r == 0 else 0.0, 0
     u, sv, vh = u[:, :r], sv[:r], vh[:r]
 
     # Barrier phi = tau t - sum_g log f_g, f_g = t^2 - |v_g|^2, v = y0 + U s,
@@ -329,10 +363,4 @@ def minimax_affine(
             break
         s, t, v, steps = s + alpha * ds, t + alpha * dt, v + alpha * du, steps + 1
 
-    coeffs = c0 + null @ (vh.conj().T @ (best_s / sv))
-    achieved = float(_row_norms(values(coeffs)).max())
-    converged = achieved - lower <= tol * max(1.0, achieved)
-    solution = MinimaxSolution(coeffs.reshape(m, nb), achieved, steps, converged, lower)
-    if not converged:
-        raise NotConverged(f"gap {achieved - lower:.3e} after {steps} steps", best=solution)
-    return solution
+    return vh.conj().T @ (best_s / sv), lower, steps

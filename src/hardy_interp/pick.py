@@ -22,9 +22,9 @@ from .rkhs import (
     CyclicKernel,
     ModelVector,
     SzegoKernel,
+    _sphere_rows,
     check_in_disk,
     cyclic_grams,
-    sample_model_sphere,
     tm_basis,
 )
 
@@ -332,11 +332,12 @@ def family_minimum(product: BlaschkeProduct, points: np.ndarray, cmat: np.ndarra
 
     C is the Hermitian coefficient matrix of a positivity condition at
     ``points`` (Pick: alpha^2 V V* - w w*; corona: F F* - delta^2) and K_c
-    the cyclic kernel of c: one batched sweep over the unit ModelVectors
-    ``sweep`` (from sample_model_sphere), then, with ``refine``,
-    _refine_minimum from the worst of them.
+    the cyclic kernel of c: one batched sweep over ``sweep``, unit
+    coefficient rows of shape (count, d) or unit ModelVectors (as from
+    sample_model_sphere), then, with ``refine``, _refine_minimum from the
+    worst of them.
     """
-    coeffs = np.array([v.coefficients for v in sweep])
+    coeffs = sweep if isinstance(sweep, np.ndarray) else np.array([v.coefficients for v in sweep])
     eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, points, coeffs))[:, 0]
     order = np.argsort(eigs, kind="stable")
     worst_eig, worst_c = float(eigs[order[0]]), coeffs[order[0]]
@@ -364,7 +365,7 @@ def feasible_family(problem: TangentialProblem, samples: int = 512,
     _check_duplicate_consistency(problem)
     product = problem.algebra.product
     worst_eig, worst_c = family_minimum(product, problem.points, _coefficient_matrix(problem),
-                                        sample_model_sphere(product, samples, seed), refine)
+                                        _sphere_rows(product, samples, seed), refine)
     feasible = worst_eig >= -tol
     witness = None if feasible else ModelVector(tm_basis(product), worst_c)
     return FeasibilityReport(

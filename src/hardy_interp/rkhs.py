@@ -426,11 +426,16 @@ def sample_model_sphere(product: BlaschkeProduct, count: int, seed: int):
     normalized, are uniformly distributed on the unit sphere parameterizing
     the cyclic kernel family; the same seed gives the same vectors.
     """
+    basis = tm_basis(product)
+    return [ModelVector(basis, row) for row in _sphere_rows(product, count, seed)]
+
+
+def _sphere_rows(product: BlaschkeProduct, count: int, seed: int) -> np.ndarray:
+    """The coefficient rows of sample_model_sphere, as one (count, d) array."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    basis = tm_basis(product)
-    d = basis.dimension
+    d = tm_basis(product).dimension
     rng = np.random.default_rng(int(seed))
     rows = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return [ModelVector(basis, row) for row in rows]
+    return rows

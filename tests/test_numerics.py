@@ -271,3 +271,21 @@ class TestMinimaxAffine:
         lmat = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         sol = minimax_affine([basis, basis], (lmat, np.array([0.6, 0.8])), grid)
         assert sol.achieved_level == pytest.approx(1.0, abs=1e-10)
+
+    def test_inner_radius_peak_is_added_and_solved(self):
+        # columns [1, 1/|z|]: the largest values lie on the inner radius, so
+        # the outer circle does not bind and the whole-grid check must add
+        # the inner points; with c_0 = 1, min max |1 + c x| over x in
+        # [1/r_max, 1/r_min] is (x2 - x1)/(x2 + x1), at a real c
+        grid = disk_grid(4, 16, 0.9)
+        radius = np.abs(grid.points)
+        basis = np.stack([np.ones(len(grid)), 1.0 / radius], axis=1).astype(complex)
+        lmat = np.array([[1.0, 0.0]], dtype=complex)
+        tol = 1e-6
+        sol = minimax_affine(basis, (lmat, np.array([1.0])), grid, tol=tol)
+        x1, x2 = 1.0 / radius.max(), 1.0 / radius.min()
+        optimum = (x2 - x1) / (x2 + x1)
+        assert sol.lower_bound <= optimum <= sol.achieved_level
+        assert sol.achieved_level <= sol.lower_bound + tol * max(1.0, sol.achieved_level)
+        assert sol.achieved_level == pytest.approx(np.abs(basis @ sol.coefficients[0]).max(),
+                                                  rel=1e-12)

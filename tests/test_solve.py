@@ -17,10 +17,12 @@ from hardy_interp import (
     DuplicateNodes,
     FullHinf,
     InfeasibleProblem,
+    NotConverged,
     NoSolutionExists,
     TangentialProblem,
     VectorAnalyticFunction,
     disk_grid,
+    minimax_affine,
     schur_interpolate,
     separating_idempotents,
     separation_classes,
@@ -277,6 +279,27 @@ class TestTangentialSolve:
         lower = res.minimax.lower_bound
         assert lower <= 0.995 ** 2 * 2 <= res.grid_norm
         assert res.grid_norm - lower <= tol * max(1.0, res.grid_norm)
+
+    @pytest.mark.parametrize("degree", [4, 12])
+    def test_criterion_4_certificate_over_whole_grid(self, degree):
+        # the minimax runs on the outer circle of the grid; grid_norm and
+        # lower_bound must still bracket the grid norm of the optimal 2 z^2,
+        # with grid_norm the maximum over all 1,024 points
+        problem = TangentialProblem(np.array([0.0, 0.5]), np.ones((2, 1)),
+                                    np.array([0.0, 0.5]), 1.0,
+                                    CplusB(BlaschkeProduct((0.0, 0.0))))
+        grid = disk_grid(8, 128, 0.995)
+        res = tangential_solve(problem, degree, grid, tol=1e-4)
+        assert res.minimax.lower_bound <= 0.995 ** 2 * 0.5 / 0.5 ** 2 <= res.grid_norm
+        basis = AnalyticBasis(problem.algebra, degree)
+        grid_eval = basis.eval_matrix(grid.points)
+        assert len(grid) == 1024
+        assert res.grid_norm == pytest.approx(
+            np.abs(grid_eval @ res.minimax.coefficients[0]).max(), rel=1e-12)
+        with pytest.raises(NotConverged) as err:
+            minimax_affine(grid_eval, (basis.eval_matrix(problem.points), problem.targets),
+                           grid, tol=1e-4, max_rounds=1)
+        assert not err.value.best.converged
 
 
 class TestVerifySolution:
