@@ -44,7 +44,6 @@ from .pick import (
 from .problemfile import (
     FORMAT_TAG,
     ProblemFile,
-    format_complex,
     format_number,
     parse_problem_file,
 )
@@ -68,6 +67,23 @@ from .solve import (
 DEFAULT_GRID = (16, 64, 0.995)
 
 
+def _plain(value):
+    """A certificate value as JSON-ready Python, complex numbers as [re, im]."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
+def _text(value) -> str:
+    if isinstance(value, list):
+        return " ".join(_text(v) for v in value)
+    return format_number(value) if isinstance(value, float) else str(value)
+
+
 class Certificate:
     """Ordered key/value certificate with deterministic serialization."""
 
@@ -75,40 +91,12 @@ class Certificate:
         self.items = []
 
     def add(self, key: str, value) -> None:
-        self.items.append((key, value))
-
-    def _encode(self, value):
-        if isinstance(value, complex):
-            return [float(value.real), float(value.imag)]
-        if isinstance(value, (np.floating, float)):
-            return float(value)
-        if isinstance(value, (np.integer, int)):
-            return int(value)
-        if isinstance(value, np.ndarray):
-            return [self._encode(v) for v in value.tolist()]
-        if isinstance(value, (list, tuple)):
-            return [self._encode(v) for v in value]
-        return value
-
-    def _format_text_value(self, value) -> str:
-        if isinstance(value, complex):
-            return format_complex(value)
-        if isinstance(value, (np.floating, float)):
-            return format_number(value)
-        if isinstance(value, (np.integer, int)):
-            return str(int(value))
-        if isinstance(value, np.ndarray):
-            return self._format_text_value(value.tolist())
-        if isinstance(value, (list, tuple)):
-            return " ".join(self._format_text_value(v) for v in value)
-        return str(value)
+        self.items.append((key, _plain(value)))
 
     def emit(self, style: str) -> str:
         if style == "json":
-            payload = {k: self._encode(v) for k, v in self.items}
-            return json.dumps(payload, indent=2) + "\n"
-        lines = [f"{k} {self._format_text_value(v)}" for k, v in self.items]
-        return "\n".join(lines) + "\n"
+            return json.dumps(dict(self.items), indent=2) + "\n"
+        return "\n".join(f"{k} {_text(v)}" for k, v in self.items) + "\n"
 
 
 def _build_algebra(pf: ProblemFile):
@@ -265,21 +253,18 @@ def _cmd_solve(pf: ProblemFile, args, cert: Certificate) -> int:
     if method == "auto":
         method = "schur" if scalar_hinf else "minimax"
     cert.add("method", method)
+    grid = _grid_from(pf, args)
     if method == "schur":
         if not scalar_hinf:
             raise ProblemFileError("method schur needs scalar H-infinity data")
         func = schur_interpolate(problem.points, problem.targets, problem.bound)
-        grid = _grid_from(pf, args)
         gnorm = func.grid_norm(grid.points)
-        residual = float(
-            np.abs(np.array([func(z) for z in problem.points]) - problem.targets).max()
-        )
+        residual = float(np.abs(func.values(problem.points)[:, 0] - problem.targets).max())
         cert.add("grid_norm", gnorm)
         cert.add("residual", residual)
         _solution_payload(cert, func)
         _echo_config(cert, grid=grid)
         return 0
-    grid = _grid_from(pf, args)
     degree = int(_scalar(pf, args, "degree", 8))
     level = pf.scalars.get("level", problem.bound)
     tol = _scalar(pf, args, "tol", 1e-6)

@@ -13,15 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegreeTooSmall,
-    HypothesisInsufficientAtScale,
-    InfeasibleConstraints,
-    NoSolutionExists,
-)
+from .errors import HypothesisInsufficientAtScale, InfeasibleConstraints
 from .numerics import DiskGrid, hermitian_min_eig
 from .pick import FullHinf, TangentialProblem, family_minimum
-from .rkhs import ModelVector, SzegoKernel, check_in_disk, sample_model_sphere, tm_basis
+from .rkhs import ModelVector, SzegoKernel, _sphere_rows, check_in_disk, tm_basis
 from .solve import VectorAnalyticFunction, tangential_solve
 
 __all__ = [
@@ -86,7 +81,7 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
     """
     algebra = problem.algebra
     if not isinstance(algebra, FullHinf):
-        sweep = sample_model_sphere(algebra.product, samples, seed)
+        sweep = _sphere_rows(algebra.product, samples, seed)
     worst_eig = np.inf
     sets_tested = 0
     kernels_tested = 0
@@ -136,8 +131,9 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
     degree meeting the nodes has a smaller grid norm.
 
     Raises HypothesisInsufficientAtScale when the check fails on the node
-    set or the tangential solution misses contractivity by more than
-    ``norm_slack``.
+    set, when no G of this degree meets the nodes (the minimax's least
+    squares raises InfeasibleConstraints), or when the tangential solution
+    misses contractivity by more than ``norm_slack``.
     """
     nodes = check_in_disk(node_set, "corona node")
     precheck = corona_check(problem, [nodes], samples=check_samples,
@@ -157,7 +153,7 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
     )
     try:
         result = tangential_solve(tangential, degree, grid, level=1.0, tol=tol)
-    except (NoSolutionExists, DegreeTooSmall, InfeasibleConstraints) as exc:
+    except InfeasibleConstraints as exc:
         raise HypothesisInsufficientAtScale(
             f"tangential step failed: {exc}", report=precheck
         ) from exc

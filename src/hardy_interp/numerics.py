@@ -200,13 +200,13 @@ def minimax_affine(
 
     Parameters
     ----------
-    basis_eval : array or sequence of arrays
-        Evaluation matrix of shape (grid size, basis size), or one such
-        matrix per component.  Component k of the candidate function at grid
-        point g is ``basis_eval[k][g, :] @ c_k``.
+    basis_eval : array
+        Evaluation matrix of shape (grid size, basis size), one for all m
+        components: component k at grid point g is ``basis_eval[g, :] @ c_k``.
     constraints : (L, b) or None
-        Affine system on the concatenated coefficient vector (component
-        blocks in order).  Consistency is checked by least squares.
+        Affine system on the concatenated coefficient vector (m component
+        blocks in order, m = L's width over the basis size, 1 without
+        constraints).  Consistency is checked by least squares.
     grid : DiskGrid
         The sampling grid the basis was evaluated on; the solve starts from
         its points of largest modulus.
@@ -229,26 +229,20 @@ def minimax_affine(
     max_rounds Newton steps, or if no grid point exceeds the solved rows'
     level while the gap is still open.
     """
-    if isinstance(basis_eval, np.ndarray) and basis_eval.ndim == 2:
-        mats = [np.asarray(basis_eval, dtype=complex)]
-    else:
-        mats = [np.asarray(e, dtype=complex) for e in basis_eval]
-    m = len(mats)
-    gsize, nb = mats[0].shape
-    if any(e.shape != (gsize, nb) for e in mats):
-        raise ValueError("per-component basis matrices must share one shape")
-    if gsize != len(grid):
-        raise ValueError("basis evaluation rows do not match the grid size")
-    dim = m * nb
-
-    lmat, bvec = constraints if constraints is not None else (np.zeros((0, dim)), [])
+    mat = np.asarray(basis_eval, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != len(grid) or mat.shape[1] < 1:
+        raise ValueError(f"basis evaluation must be ({len(grid)}, basis size), got {mat.shape}")
+    nb = mat.shape[1]
+    lmat, bvec = constraints if constraints is not None else (np.zeros((0, nb)), [])
     lmat = np.atleast_2d(np.asarray(lmat, dtype=complex))
     bvec = np.atleast_1d(np.asarray(bvec, dtype=complex))
-    if lmat.shape[1] != dim:
-        raise ValueError(f"constraint matrix has {lmat.shape[1]} columns, expected {dim}")
+    m, extra = divmod(lmat.shape[1], nb)
+    if m < 1 or extra:
+        raise ValueError(f"constraint matrix width {lmat.shape[1]} is not a multiple of {nb}")
+    dim = m * nb
 
     def values(c):  # (dim, ...) coefficients to (grid size, m, ...) values
-        return np.stack([mats[k] @ c[k * nb:(k + 1) * nb] for k in range(m)], axis=1)
+        return np.stack([mat @ c[k * nb:(k + 1) * nb] for k in range(m)], axis=1)
 
     if lmat.shape[0] == 0:
         c0 = np.zeros(dim, dtype=complex)

@@ -327,22 +327,20 @@ def _refine_minimum(product: BlaschkeProduct, points: np.ndarray,
 
 
 def family_minimum(product: BlaschkeProduct, points: np.ndarray, cmat: np.ndarray,
-                   sweep, refine: bool = True):
+                   sweep: np.ndarray, refine: bool = True):
     """Lowest eigenvalue of C o K_c over unit model vectors c, and that c.
 
     C is the Hermitian coefficient matrix of a positivity condition at
     ``points`` (Pick: alpha^2 V V* - w w*; corona: F F* - delta^2) and K_c
     the cyclic kernel of c: one batched sweep over ``sweep``, unit
-    coefficient rows of shape (count, d) or unit ModelVectors (as from
-    sample_model_sphere), then, with ``refine``, _refine_minimum from the
-    worst of them.
+    coefficient rows of shape (count, d) (as from rkhs._sphere_rows), then,
+    with ``refine``, _refine_minimum from the worst of them.
     """
-    coeffs = sweep if isinstance(sweep, np.ndarray) else np.array([v.coefficients for v in sweep])
-    eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, points, coeffs))[:, 0]
+    eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, points, sweep))[:, 0]
     order = np.argsort(eigs, kind="stable")
-    worst_eig, worst_c = float(eigs[order[0]]), coeffs[order[0]]
+    worst_eig, worst_c = float(eigs[order[0]]), sweep[order[0]]
     if refine:
-        eig, c = _refine_minimum(product, points, cmat, coeffs[order[:_REFINE_STARTS]])
+        eig, c = _refine_minimum(product, points, cmat, sweep[order[:_REFINE_STARTS]])
         if eig < worst_eig:
             worst_eig, worst_c = eig, c
     return worst_eig, worst_c

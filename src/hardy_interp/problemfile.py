@@ -46,6 +46,11 @@ _SCALAR_KEYS = {
     "rank": int,
 }
 _WORD_KEYS = ("algebra", "kernel", "method", "mode")
+# repeatable directives, by the ProblemFile list each line appends to: one
+# complex number (_VALUE_LISTS) or one row of them (_ROW_LISTS)
+_VALUE_LISTS = {"zero": "zeros", "node": "nodes", "target": "targets", "coeff": "coeffs"}
+_ROW_LISTS = {"direction": "directions", "fcoeff": "fcoeff_rows", "set": "point_sets",
+              "arow": "target_rows"}
 
 
 def format_number(x: float) -> str:
@@ -79,10 +84,9 @@ class ProblemFile:
     rational_num: list = None
     rational_den: list = None
 
-    def require(self, name: str, value, line_hint: str = ""):
+    def require(self, name: str, value) -> None:
         if value is None or (hasattr(value, "__len__") and len(value) == 0):
-            raise ProblemFileError(f"missing required field {name!r}{line_hint}")
-        return value
+            raise ProblemFileError(f"missing required field {name!r}")
 
 
 def _floats(tokens, lineno, key, expected=None):
@@ -150,18 +154,12 @@ def parse_problem_file(text: str) -> ProblemFile:
             if len(rest) != 1:
                 raise ProblemFileError(f"{key}: expected one word", line=lineno)
             pf.words[key] = rest[0].lower()
-        elif key == "zero":
-            pf.zeros.append(_complex_pairs(rest, lineno, key)[0])
+        elif key in _VALUE_LISTS:
+            getattr(pf, _VALUE_LISTS[key]).append(_complex_pairs(rest, lineno, key)[0])
+        elif key in _ROW_LISTS:
+            getattr(pf, _ROW_LISTS[key]).append(_complex_pairs(rest, lineno, key))
         elif key == "constant":
             pf.constant = _complex_pairs(rest, lineno, key)[0]
-        elif key == "node":
-            pf.nodes.append(_complex_pairs(rest, lineno, key)[0])
-        elif key == "direction":
-            pf.directions.append(_complex_pairs(rest, lineno, key))
-        elif key == "target":
-            pf.targets.append(_complex_pairs(rest, lineno, key)[0])
-        elif key == "coeff":
-            pf.coeffs.append(_complex_pairs(rest, lineno, key)[0])
         elif key == "pair":
             vals = _complex_pairs(rest, lineno, key)
             if len(vals) != 2:
@@ -172,16 +170,10 @@ def parse_problem_file(text: str) -> ProblemFile:
             vals = _floats(rest, lineno, key, expected=3)
             pf.grid = (_integer(vals[0], lineno, key), _integer(vals[1], lineno, key),
                        vals[2])
-        elif key == "fcoeff":
-            pf.fcoeff_rows.append(_complex_pairs(rest, lineno, key))
         elif key == "rnum":
             pf.rational_num = _complex_pairs(rest, lineno, key)
         elif key == "rden":
             pf.rational_den = _complex_pairs(rest, lineno, key)
-        elif key == "set":
-            pf.point_sets.append(_complex_pairs(rest, lineno, key))
-        elif key == "arow":
-            pf.target_rows.append(_complex_pairs(rest, lineno, key))
         elif key == "smatrix":
             current_matrix = []
             pf.basis_matrices.append(current_matrix)

@@ -373,22 +373,17 @@ def tangential_solve(problem: TangentialProblem, degree: int, grid: DiskGrid,
     """Minimize the grid norm over the degree-d algebra basis subject to
     the interpolation constraints.
 
-    The constraint consistency is established first through the witness
-    construction (NoSolutionExists / DegreeTooSmall propagate).  The
-    reported norm is a grid maximum: a lower bound for the true supremum.
+    The data are met at degree d exactly when the linear system Lc = b on
+    the coefficients is consistent; minimax_affine checks that by least
+    squares and raises InfeasibleConstraints otherwise.  The reported norm
+    is a grid maximum: a lower bound for the true supremum.
     """
-    witness_interpolant(problem, degree)
     basis = AnalyticBasis(problem.algebra, degree)
-    m = problem.component_count
-    nb = basis.size
     nodes_eval = basis.eval_matrix(problem.points)
-    n = problem.node_count
-    lmat = np.zeros((n, m * nb), dtype=complex)
-    for j in range(n):
-        for k in range(m):
-            lmat[j, k * nb:(k + 1) * nb] = np.conj(problem.directions[j, k]) * nodes_eval[j]
-    grid_eval = basis.eval_matrix(grid.points)
-    solution = minimax_affine([grid_eval] * m, (lmat, problem.targets), grid, tol)
+    # row j, component block k: conj(v_jk) times the basis values at x_j
+    lmat = (np.conj(problem.directions)[:, :, None] * nodes_eval[:, None, :]).reshape(
+        problem.node_count, -1)
+    solution = minimax_affine(basis.eval_matrix(grid.points), (lmat, problem.targets), grid, tol)
     func = VectorAnalyticFunction(basis, solution.coefficients)
     achieved = solution.achieved_level
     return TangentialSolveResult(

@@ -9,12 +9,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_interp import __version__
-from hardy_interp.cli import main
+from hardy_interp.cli import Certificate, main
 from hardy_interp.errors import ProblemFileError
 from hardy_interp.problemfile import format_complex, parse_problem_file
 
@@ -107,6 +108,27 @@ node 0.5 0
 node -0.5 0
 node 0 0.5
 node 0 -0.5
+"""
+
+
+# f(z) = z at 0 and +-1/2: met at degree 1, though degree 1 cannot separate
+# three classes of nodes
+LINEAR_SOLVE_FILE = """\
+format hardy-interp/1
+kind solve
+algebra hinf
+method minimax
+alpha 1
+degree 1
+node 0 0
+node 0.5 0
+node -0.5 0
+direction 1 0
+direction 1 0
+direction 1 0
+target 0 0
+target 0.5 0
+target -0.5 0
 """
 
 
@@ -439,6 +461,20 @@ class TestCommands:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("last_target, expected", [("-0.5 0", 0), ("0 0", 2)])
+    def test_solve_exits_by_degree_consistency(self, tmp_path, capsys, last_target,
+                                                expected):
+        # targets 0, 1/2, 0 lie on no degree-1 function: an input error
+        f = tmp_path / "linear.txt"
+        f.write_text(LINEAR_SOLVE_FILE.replace("target -0.5 0", f"target {last_target}"))
+        code, out, _ = run_cli(["solve", str(f)], capsys)
+        assert code == expected
+        if expected == 0:
+            vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+            assert vals["meets_level"] == "yes"
+            coeffs = [float(t) for t in vals["solution.fcoeff.0"].split()]
+            assert np.abs(np.array(coeffs) - [0.0, 0.0, 1.0, 0.0]).max() < 1e-8
+
     def test_distance_prints_rounds(self, tmp_path, capsys):
         # the Newton steps of the barrier solve, after the unchanged lines
         f = tmp_path / "d.txt"
@@ -450,6 +486,43 @@ class TestCommands:
         assert keys[start:start + 5] == ["primal", "dual", "gap", "rank", "rounds"]
         vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
         assert int(vals["rounds"]) > 0
+
+
+class TestCertificate:
+    def test_every_value_kind_in_text_and_json(self):
+        cert = Certificate()
+        cert.add("complex", complex(0.1, -2.0))
+        cert.add("float", 1.0 / 3.0)
+        cert.add("np_float", np.float64(2.0) / 3.0)
+        cert.add("int", 5)
+        cert.add("np_int", np.int64(7))
+        cert.add("array", np.array([1.0 + 2.0j, 0.5]))
+        cert.add("list", [complex(1.0, 0.0), 1j])
+        cert.add("mixed", [16, 64, 0.995])
+        cert.add("str", "yes")
+        assert cert.emit("text") == (
+            "complex 0.10000000000000001 -2\n"
+            "float 0.33333333333333331\n"
+            "np_float 0.66666666666666663\n"
+            "int 5\n"
+            "np_int 7\n"
+            "array 1 2 0.5 0\n"
+            "list 1 0 0 1\n"
+            "mixed 16 64 0.995\n"
+            "str yes\n"
+        )
+        expected = {
+            "complex": [0.1, -2.0],
+            "float": 1.0 / 3.0,
+            "np_float": 2.0 / 3.0,
+            "int": 5,
+            "np_int": 7,
+            "array": [[1.0, 2.0], [0.5, 0.0]],
+            "list": [[1.0, 0.0], [0.0, 1.0]],
+            "mixed": [16, 64, 0.995],
+            "str": "yes",
+        }
+        assert cert.emit("json") == json.dumps(expected, indent=2) + "\n"
 
 
 def _is_number(token):

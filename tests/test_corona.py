@@ -74,15 +74,16 @@ class TestCoronaCheck:
 
     def test_cplusb_sweep_drawn_once_per_check(self, monkeypatch):
         import hardy_interp.corona as corona_module
-        from hardy_interp import family_minimum, sample_model_sphere
+        from hardy_interp import family_minimum
+        from hardy_interp.rkhs import _sphere_rows
 
         draws = []
 
         def counting(product, count, seed):
             draws.append((count, seed))
-            return sample_model_sphere(product, count, seed)
+            return _sphere_rows(product, count, seed)
 
-        monkeypatch.setattr(corona_module, "sample_model_sphere", counting)
+        monkeypatch.setattr(corona_module, "_sphere_rows", counting)
         b = BlaschkeProduct((0.0, 0.0))
         func = VectorAnalyticFunction(AnalyticBasis(CplusB(b), 1),
                                       [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -92,7 +93,7 @@ class TestCoronaCheck:
         assert draws == [(32, 3)]
         assert report.passed and report.sets_tested == 3
         # the same minimum as a fresh draw of the seeded sweep for every set
-        sweep = sample_model_sphere(b, 32, 3)
+        sweep = _sphere_rows(b, 32, 3)
         lams = []
         for pts in sets:
             fv = func.values(pts)
@@ -194,6 +195,22 @@ class TestCoronaSolve:
         problem = CoronaProblem(pair_z_half(), 0.6)
         with pytest.raises(HypothesisInsufficientAtScale):
             corona_solve(problem, NODES, 6, GRID)
+
+    def test_constant_row_at_degree_one(self):
+        # F = (1, 0): G = (1, 0) meets F.G = 1 at three nodes at degree 1,
+        # although degree 1 cannot separate three classes of nodes
+        problem = CoronaProblem(hinf_function([[1.0], [0.0]], 0), 0.9)
+        solution, report = corona_solve(problem, NODES[:3], 1, GRID)
+        assert report.passed and report.node_residual <= 1e-10
+        assert np.abs(solution.coefficients - [[1.0, 0.0], [0.0, 0.0]]).max() < 1e-8
+
+    def test_no_degree_one_solution_fails(self):
+        # F = 1 + z^2/2 is 1, 9/8, 9/8 at 0, +-1/2: G = 1/F there is even and
+        # not constant, so no degree-1 G meets the nodes
+        problem = CoronaProblem(hinf_function([[1.0, 0.0, 0.5]], 2), 0.4)
+        assert corona_check(problem, [NODES[:3]]).passed
+        with pytest.raises(HypothesisInsufficientAtScale, match="tangential step"):
+            corona_solve(problem, NODES[:3], 1, GRID)
 
     def test_constrained_algebra_end_to_end(self):
         # F = (1, z^2) in C + z^2 H-infinity; ||F(z)||^2 = 1 + |z|^4 >= 1,

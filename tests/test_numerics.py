@@ -269,7 +269,7 @@ class TestMinimaxAffine:
         basis = np.ones((len(grid), 1), dtype=complex)
         # two components, each pinned: F = (3/5, 4/5) constant, norm 1
         lmat = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
-        sol = minimax_affine([basis, basis], (lmat, np.array([0.6, 0.8])), grid)
+        sol = minimax_affine(basis, (lmat, np.array([0.6, 0.8])), grid)
         assert sol.achieved_level == pytest.approx(1.0, abs=1e-10)
 
     def test_inner_radius_peak_is_added_and_solved(self):

@@ -16,6 +16,7 @@ from hardy_interp import (
     DegreeTooSmall,
     DuplicateNodes,
     FullHinf,
+    InfeasibleConstraints,
     InfeasibleProblem,
     NotConverged,
     NoSolutionExists,
@@ -255,6 +256,19 @@ class TestTangentialSolve:
         n_d8_fine = tangential_solve(p, degree=8, grid=fine, tol=1e-7).grid_norm
         assert n_d8 <= n_d4 + 1e-5
         assert n_d8_fine >= n_d8 - 1e-5  # finer grid sees at least as much
+
+    def test_degree_one_meets_linear_data_on_three_nodes(self):
+        # f = z meets f(0) = 0, f(+-1/2) = +-1/2 at degree 1, although
+        # degree 1 cannot separate three classes of nodes
+        p = scalar_problem([0.0, 0.5, -0.5], [0.0, 0.5, -0.5])
+        res = tangential_solve(p, degree=1, grid=disk_grid(8, 64, 0.995))
+        assert np.abs(res.function.coefficients[0] - [0.0, 1.0]).max() < 1e-8
+        assert res.grid_norm == pytest.approx(0.995, abs=1e-8)
+
+    def test_data_no_degree_one_function_meets_raise(self):
+        p = scalar_problem([0.0, 0.5, -0.5], [0.0, 0.5, 0.0])
+        with pytest.raises(InfeasibleConstraints):
+            tangential_solve(p, degree=1, grid=disk_grid(8, 64, 0.995))
 
     def test_infeasible_cplusb_instance_norm_floor(self):
         b = BlaschkeProduct((0.0, 0.0))
