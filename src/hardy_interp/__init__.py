@@ -14,7 +14,6 @@ from .duality import (
 )
 from .errors import (
     DegenerateBoundaryData,
-    DegreeTooSmall,
     DuplicateNodes,
     HardyInterpError,
     HypothesisInsufficientAtScale,
@@ -24,7 +23,6 @@ from .errors import (
     InvalidMatrix,
     InvalidRadius,
     KernelMismatch,
-    NoSolutionExists,
     NotConverged,
     NotLogIntegrable,
     NotNormalized,
@@ -66,29 +64,20 @@ from .rkhs import (
     ModelVector,
     OuterFunction,
     SzegoKernel,
-    blaschke_eval,
     cyclic_grams,
-    cyclic_kernel,
-    model_space_kernel,
     outer_from_modulus,
     sample_model_sphere,
-    szego_kernel,
     tm_basis,
 )
 from .solve import (
     AnalyticBasis,
     SchurInterpolant,
-    SeparationPartition,
     SolutionReport,
     TangentialSolveResult,
     VectorAnalyticFunction,
-    WitnessConstruction,
     schur_interpolate,
-    separating_idempotents,
-    separation_classes,
     tangential_solve,
     verify_solution,
-    witness_interpolant,
 )
 
 __version__ = "0.1.0"

@@ -142,6 +142,8 @@ def _build_kernel(pf: ProblemFile, algebra):
         if not pf.coeffs:
             raise ProblemFileError("kernel cyclic requires coeff lines")
         coeffs = np.array(pf.coeffs, dtype=complex)
+        if not np.any(coeffs):
+            raise ProblemFileError("kernel cyclic needs a nonzero coeff vector")
         vec = ModelVector(tm_basis(product), coeffs / np.linalg.norm(coeffs))
         return CyclicKernel(product, vec)
     raise ProblemFileError(f"unknown kernel {name!r}")
@@ -439,6 +441,8 @@ def main(argv=None) -> int:
         if pf.kind != args.command:
             raise ProblemFileError(
                 f"problem file has kind {pf.kind!r}, command is {args.command!r}")
+        if _scalar(pf, args, "tol", 0.0) < 0:
+            raise ProblemFileError("tol must be nonnegative")
         code = _COMMANDS[args.command](pf, args, cert)
     except (ProblemFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,14 +54,6 @@ class DegenerateBoundaryData(HardyInterpError):
     """Target on the norm boundary with remaining data not constant."""
 
 
-class DegreeTooSmall(HardyInterpError):
-    """Basis degree insufficient to separate the point classes."""
-
-
-class NoSolutionExists(HardyInterpError):
-    """Class target vector outside the range of its direction Gram matrix."""
-
-
 class HypothesisInsufficientAtScale(HardyInterpError):
     """Corona hypothesis fails to produce a contractive solution at the
     chosen truncation; carries the failing certificate."""

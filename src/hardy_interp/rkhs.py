@@ -19,13 +19,9 @@ from .numerics import QuadratureRule
 __all__ = [
     "check_in_disk",
     "BlaschkeProduct",
-    "blaschke_eval",
-    "szego_kernel",
-    "model_space_kernel",
     "ModelSpaceBasis",
     "tm_basis",
     "ModelVector",
-    "cyclic_kernel",
     "cyclic_grams",
     "SzegoKernel",
     "ModelSpaceKernel",
@@ -70,16 +66,12 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def __call__(self, z):
-        return blaschke_eval(self, z)
-
-
-def blaschke_eval(product: BlaschkeProduct, z):
-    """Evaluate a Blaschke product for |z| <= 1 (scalar or array input)."""
-    zz = np.asarray(z, dtype=complex)
-    out = np.full(zz.shape, product.constant, dtype=complex)
-    for a in product.zeros:
-        out = out * (zz - a) / (1.0 - np.conj(a) * zz)
-    return out if zz.shape else complex(out)
+        """Evaluate for |z| <= 1 (scalar or array input)."""
+        zz = np.asarray(z, dtype=complex)
+        out = np.full(zz.shape, self.constant, dtype=complex)
+        for a in self.zeros:
+            out = out * (zz - a) / (1.0 - np.conj(a) * zz)
+        return out if zz.shape else complex(out)
 
 
 class ModelSpaceBasis:
@@ -107,16 +99,6 @@ class ModelSpaceBasis:
             out[:, k] = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z) * prefix
             prefix = prefix * (z - a) / (1.0 - np.conj(a) * z)
         return out
-
-    def function(self, k: int):
-        """The k-th basis function as a scalar-or-array callable."""
-
-        def e_k(z):
-            zz = np.asarray(z, dtype=complex)
-            vals = self.eval_matrix(zz.reshape(-1))[:, k]
-            return vals.reshape(zz.shape) if zz.shape else complex(vals[0])
-
-        return e_k
 
 
 def tm_basis(product: BlaschkeProduct) -> ModelSpaceBasis:
@@ -147,7 +129,7 @@ class ModelVector:
         return float(np.linalg.norm(self.coefficients))
 
     def require_unit(self, tol: float = 1e-10) -> None:
-        if abs(self.norm - 1.0) > tol:
+        if not abs(self.norm - 1.0) <= tol:  # a NaN norm fails too
             raise NotNormalized(f"model vector norm {self.norm} is not 1 within {tol}")
 
     def evaluate(self, points):
@@ -231,21 +213,6 @@ def cyclic_grams(product: BlaschkeProduct, points, coeffs) -> np.ndarray:
     values = np.atleast_2d(coeffs) @ tm_basis(product).eval_matrix(z).T  # (K, n)
     g = _cyclic_cross(product, z[:, None], z[None, :], values[:, :, None], values[:, None, :])
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
-
-
-def szego_kernel(z, w):
-    """Szego kernel of the Hardy space H^2: 1 / (1 - z conj(w))."""
-    return SzegoKernel()(z, w)
-
-
-def model_space_kernel(product: BlaschkeProduct, z, w):
-    """Reproducing kernel of H^2 minus B*H^2 (see ModelSpaceKernel)."""
-    return ModelSpaceKernel(product)(z, w)
-
-
-def cyclic_kernel(product: BlaschkeProduct, vector: ModelVector, z, w):
-    """Kernel of the cyclic subspace span{v} + B*H^2 for unit v (see CyclicKernel)."""
-    return CyclicKernel(product, vector)(z, w)
 
 
 # A Fourier coefficient below this fraction of the largest counts as zero

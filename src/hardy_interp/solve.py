@@ -1,9 +1,8 @@
 """Interpolant construction and verification.
 
-Exact Schur-recursion solutions for scalar problems over H-infinity, the
-point-separation witness construction (interpolation without norm control),
+Exact Schur-recursion solutions for scalar problems over H-infinity,
 norm-near-optimal tangential solutions by constrained minimax on a disk
-grid, and an end-to-end verifier.
+grid over a degree-d basis of the algebra, and an end-to-end verifier.
 """
 
 from __future__ import annotations
@@ -15,14 +14,11 @@ import numpy as np
 
 from .errors import (
     DegenerateBoundaryData,
-    DegreeTooSmall,
     DuplicateNodes,
     InfeasibleProblem,
-    NoSolutionExists,
 )
 from .numerics import DiskGrid, MinimaxSolution, is_psd, minimax_affine
 from .pick import (
-    CplusB,
     FullHinf,
     TangentialProblem,
     build_pick_matrix,
@@ -35,11 +31,6 @@ __all__ = [
     "VectorAnalyticFunction",
     "SchurInterpolant",
     "schur_interpolate",
-    "SeparationPartition",
-    "separation_classes",
-    "separating_idempotents",
-    "WitnessConstruction",
-    "witness_interpolant",
     "TangentialSolveResult",
     "tangential_solve",
     "SolutionReport",
@@ -228,141 +219,16 @@ def schur_interpolate(points, values, bound: float) -> SchurInterpolant:
 
 
 @dataclass
-class SeparationPartition:
-    """Grouping of nodes the algebra cannot tell apart.
-
-    ``order`` lists original indices reordered so classes are contiguous;
-    ``boundaries`` are the cumulative class endpoints 0 = n_0 < ... < n_p;
-    ``classes`` holds the original indices of each class.
-    """
-
-    order: tuple
-    boundaries: tuple
-    classes: tuple
-
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    def class_of(self, original_index: int) -> int:
-        for k, cls in enumerate(self.classes):
-            if original_index in cls:
-                return k
-        raise IndexError(original_index)
-
-
-def separation_classes(algebra, points) -> SeparationPartition:
-    """Equivalence classes of nodes under point separation by the algebra.
-
-    H-infinity separates every pair of distinct points, so classes are the
-    coincidence groups (singletons for distinct nodes); in C + B*H-infinity
-    additionally all nodes at zeros of B collapse into one class, since
-    every element is constant on the zero set of B.
-    """
-    pts = check_in_disk(points, "point")
-    n = pts.size
-    classes = []
-    if isinstance(algebra, CplusB):
-        zeros = algebra.product.zeros
-        merged = tuple(i for i in range(n)
-                       if min(abs(pts[i] - a) for a in zeros) <= 1e-12)
-        if merged:
-            classes.append(merged)
-    assigned = set(i for cls in classes for i in cls)
-    for i in range(n):
-        if i in assigned:
-            continue
-        group = tuple(j for j in range(n)
-                      if j not in assigned and abs(pts[j] - pts[i]) <= 1e-14)
-        assigned.update(group)
-        classes.append(group)
-    order = tuple(i for cls in classes for i in cls)
-    boundaries = (0,) + tuple(int(b) for b in np.cumsum([len(c) for c in classes]))
-    return SeparationPartition(order, boundaries, tuple(classes))
-
-
-def separating_idempotents(algebra, partition: SeparationPartition, points,
-                           degree: int):
-    """Functions e_1..e_p in the algebra with e_k = delta_{kl} on class l.
-
-    Solved on one representative per class (algebra elements are constant
-    on classes) by minimal-coefficient-norm least squares; residual above
-    1e-9 raises DegreeTooSmall.
-    """
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    basis = AnalyticBasis(algebra, degree)
-    reps = np.array([pts[cls[0]] for cls in partition.classes])
-    emat = basis.eval_matrix(reps)
-    p = len(partition.classes)
-    out = []
-    for k in range(p):
-        rhs = np.zeros(p, dtype=complex)
-        rhs[k] = 1.0
-        coeff, *_ = np.linalg.lstsq(emat, rhs, rcond=None)
-        resid = float(np.linalg.norm(emat @ coeff - rhs))
-        if resid > 1e-9:
-            raise DegreeTooSmall(
-                f"degree {degree} cannot separate the {p} classes "
-                f"(residual {resid:.3e})"
-            )
-        out.append(VectorAnalyticFunction(basis, coeff[None, :]))
-    return out
-
-
-@dataclass
-class WitnessConstruction:
-    """Interpolating function with no norm control: F = sum_k e_k x xi_k."""
-
-    idempotents: list
-    class_vectors: list
-    function: VectorAnalyticFunction
-
-
-def witness_interpolant(problem: TangentialProblem, degree: int) -> WitnessConstruction:
-    """Solve the tangential data exactly, ignoring the norm bound.
-
-    Per separation class the target vector must lie in the range of the
-    direction Gram matrix P = [<v_j, v_i>] (least-squares residual at most
-    1e-8 relative); otherwise NoSolutionExists is raised, since no Pick
-    matrix can then be PSD.  The result is F = sum_k e_k (x) xi_k built on
-    the separating idempotents.
-    """
-    partition = separation_classes(problem.algebra, problem.points)
-    idem = separating_idempotents(problem.algebra, partition, problem.points, degree)
-    m = problem.component_count
-    basis = idem[0].basis
-    coeffs = np.zeros((m, basis.size), dtype=complex)
-    class_vectors = []
-    for k, cls in enumerate(partition.classes):
-        v = problem.directions[list(cls)]
-        w = problem.targets[list(cls)]
-        gram = np.conj(v) @ v.T  # P[i, j] = <v_j, v_i>
-        alpha, *_ = np.linalg.lstsq(gram, w, rcond=None)
-        resid = float(np.linalg.norm(gram @ alpha - w))
-        if resid > 1e-8 * max(1.0, float(np.linalg.norm(w))):
-            raise NoSolutionExists(
-                f"class {k}: targets outside the range of the direction "
-                f"Gram matrix (residual {resid:.3e})"
-            )
-        xi = alpha @ v  # sum_j alpha_j v_j
-        class_vectors.append(xi)
-        coeffs += np.outer(xi, idem[k].coefficients[0])
-    func = VectorAnalyticFunction(basis, coeffs)
-    return WitnessConstruction(idem, class_vectors, func)
-
-
-@dataclass
 class TangentialSolveResult:
     """Near-optimal tangential solution on a grid.
 
     ``grid_norm`` is the achieved grid maximum of the solution's vector
-    norm; ``level`` echoes the caller's comparison level (alpha, or
-    alpha*c from the scaled check) when one was supplied.
+    norm; ``meets_level`` compares it with the caller's level, when one
+    was supplied.
     """
 
     function: VectorAnalyticFunction
     grid_norm: float
-    level: Optional[float]
     meets_level: Optional[bool]
     minimax: MinimaxSolution
 
@@ -389,7 +255,6 @@ def tangential_solve(problem: TangentialProblem, degree: int, grid: DiskGrid,
     return TangentialSolveResult(
         function=func,
         grid_norm=achieved,
-        level=level,
         meets_level=None if level is None else bool(achieved <= level * (1.0 + 1e-6)),
         minimax=solution,
     )

@@ -1,9 +1,11 @@
 """Tests for the batch command-line harness and problem file format."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -228,6 +230,23 @@ class TestCommands:
             main(["feasible", str(f), flag, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("source", ["file", "flag"])
+    @pytest.mark.parametrize("command, text", [
+        ("feasible", FEASIBLE_OK),
+        ("feasible", FAMILY_FILE.replace("target 0.5 0", "target 0.1 0")),
+        ("corona", CORONA_CHECK_FILE),
+        ("solve", SOLVE_FILE),
+    ], ids=["single", "family", "corona-check", "solve-minimax"])
+    def test_negative_tol_exit_two(self, tmp_path, capsys, command, text, source):
+        # a negative tolerance is an input error, never a verdict
+        f = tmp_path / "p.txt"
+        f.write_text(text + "tol -1\n" if source == "file" else text)
+        flag = ["--tol", "-1"] if source == "flag" else []
+        code, out, err = run_cli([command, str(f)] + flag, capsys)
+        assert code == 2
+        assert out == ""
+        assert "tol must be nonnegative" in err
+
     def test_unknown_command_exit_two(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"
         f.write_text(FEASIBLE_OK)
@@ -436,6 +455,18 @@ class TestCommands:
         vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
         assert float(vals["value.0"].split()[0]) == pytest.approx(4.0 / 3.0)
 
+    def test_zero_cyclic_coeff_exit_two(self, tmp_path, capsys):
+        # an all-zero model vector cannot be normalized: no kernel, no NaN values
+        f = tmp_path / "k.txt"
+        f.write_text(
+            "format hardy-interp/1\nkind kernel\nkernel cyclic\n"
+            "zero 0 0\ncoeff 0 0\npair 0.5 0 0.5 0\n"
+        )
+        code, out, err = run_cli(["kernel", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "nonzero coeff" in err
+
     def test_distance_command(self, tmp_path, capsys):
         f = tmp_path / "d.txt"
         f.write_text(DISTANCE_FILE)
@@ -588,6 +619,17 @@ class TestFuzz:
 
 
 class TestImport:
+    def test_every_export_resolves(self):
+        # a stale name in a module's __all__ breaks `from <module> import *`
+        import hardy_interp
+
+        stale = []
+        for info in pkgutil.iter_modules(hardy_interp.__path__):
+            module = importlib.import_module(f"hardy_interp.{info.name}")
+            stale += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                      if not hasattr(module, name)]
+        assert stale == []
+
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
         src = Path(__file__).resolve().parents[1] / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

@@ -16,12 +16,9 @@ from hardy_interp import (
     SzegoKernel,
     circle_integral,
     cyclic_grams,
-    cyclic_kernel,
     is_psd,
-    model_space_kernel,
     outer_from_modulus,
     sample_model_sphere,
-    szego_kernel,
     tm_basis,
     uniform_rule,
 )
@@ -61,32 +58,32 @@ class TestBlaschke:
 class TestKernels:
     def test_szego_at_origin(self):
         for z in (0.0, 0.5, -0.3 + 0.4j):
-            assert szego_kernel(z, 0.0) == pytest.approx(1.0)
+            assert SzegoKernel()(z, 0.0) == pytest.approx(1.0)
 
     def test_szego_values(self):
-        assert szego_kernel(0.5, 0.5) == pytest.approx(4.0 / 3.0)
-        assert szego_kernel(0.5j, -0.5j) == pytest.approx(4.0 / 5.0)
+        assert SzegoKernel()(0.5, 0.5) == pytest.approx(4.0 / 3.0)
+        assert SzegoKernel()(0.5j, -0.5j) == pytest.approx(4.0 / 5.0)
 
     def test_szego_rejects_boundary(self):
         with pytest.raises(ValueError):
-            szego_kernel(1.0, 0.0)
+            SzegoKernel()(1.0, 0.0)
         with pytest.raises(ValueError):
-            szego_kernel(complex(np.nan, 0.0), 0.0)
+            SzegoKernel()(complex(np.nan, 0.0), 0.0)
 
     def test_model_kernel_b_equals_z(self):
         b = BlaschkeProduct((0.0,))
         for z, w in ((0.1, 0.2), (0.5j, -0.3), (0.7, 0.7)):
-            assert model_space_kernel(b, z, w) == pytest.approx(1.0)
+            assert ModelSpaceKernel(b)(z, w) == pytest.approx(1.0)
 
     def test_model_kernel_b_equals_z_squared(self):
         b = BlaschkeProduct((0.0, 0.0))
         z, w = 0.3 + 0.1j, -0.2 + 0.4j
-        assert model_space_kernel(b, z, w) == pytest.approx(1 + z * np.conj(w))
+        assert ModelSpaceKernel(b)(z, w) == pytest.approx(1 + z * np.conj(w))
 
     def test_model_kernel_diagonal_nonnegative(self):
         b = BlaschkeProduct((0.3, -0.2 + 0.1j))
         for z in (0.0, 0.5, 0.8j, -0.6 + 0.3j):
-            val = model_space_kernel(b, z, z)
+            val = ModelSpaceKernel(b)(z, z)
             assert val.imag == pytest.approx(0.0, abs=1e-12)
             assert val.real >= 0.0
 
@@ -112,7 +109,7 @@ class TestKernels:
         v = ModelVector(tm_basis(b), [1.0, 0.0])
         z, w = 0.3 + 0.0j, 0.2 + 0.0j
         expected = 1 + z ** 2 * np.conj(w) ** 2 / (1 - z * np.conj(w))
-        assert cyclic_kernel(b, v, z, w) == pytest.approx(expected)
+        assert CyclicKernel(b, v)(z, w) == pytest.approx(expected)
 
     def test_cyclic_hermitian_symmetry(self):
         b = BlaschkeProduct((0.2, -0.4j))
@@ -122,14 +119,15 @@ class TestKernels:
         rng = np.random.default_rng(9)
         for _ in range(10):
             z, w = random_disk_points(rng, 2, radius=0.9, min_sep=0.0)
-            assert cyclic_kernel(b, v, z, w) == pytest.approx(
-                np.conj(cyclic_kernel(b, v, w, z)), abs=1e-12)
+            assert CyclicKernel(b, v)(z, w) == pytest.approx(
+                np.conj(CyclicKernel(b, v)(w, z)), abs=1e-12)
 
     def test_cyclic_requires_unit_vector(self):
         b = BlaschkeProduct((0.0,))
-        v = ModelVector(tm_basis(b), [2.0])
-        with pytest.raises(NotNormalized):
-            cyclic_kernel(b, v, 0.1, 0.2)
+        for c in (2.0, complex(np.nan, 0.0)):
+            v = ModelVector(tm_basis(b), [c])
+            with pytest.raises(NotNormalized):
+                CyclicKernel(b, v)(0.1, 0.2)
 
     def test_every_kernel_positive_on_random_point_sets(self):
         rng = np.random.default_rng(13)
@@ -173,7 +171,7 @@ class TestCyclicGrams:
         for c, g in zip(coeffs, stack):
             v = ModelVector(basis, c)
             assert np.abs(g - CyclicKernel(b, v).gram(pts)).max() < 1e-13
-            pairwise = np.array([[cyclic_kernel(b, v, z, w) for w in pts] for z in pts])
+            pairwise = np.array([[CyclicKernel(b, v)(z, w) for w in pts] for z in pts])
             assert np.abs(g - pairwise).max() < 1e-12
             assert np.array_equal(g, g.conj().T)
 
@@ -181,10 +179,9 @@ class TestCyclicGrams:
         rng = np.random.default_rng(29)
         b = BlaschkeProduct((0.3 + 0.3j, -0.5, 0.0))
         pts = random_disk_points(rng, 6, radius=0.9)
-        for kern, pair in ((SzegoKernel(), szego_kernel),
-                           (ModelSpaceKernel(b), lambda z, w: model_space_kernel(b, z, w))):
+        for kern in (SzegoKernel(), ModelSpaceKernel(b)):
             g = kern.gram(pts)
-            pairwise = np.array([[pair(z, w) for w in pts] for z in pts])
+            pairwise = np.array([[kern(z, w) for w in pts] for z in pts])
             assert np.abs(g - pairwise).max() < 1e-12
             assert np.array_equal(g, g.conj().T)
 
@@ -192,7 +189,7 @@ class TestCyclicGrams:
         rng = np.random.default_rng(31)
         zs = random_disk_points(rng, 7, radius=0.9, min_sep=0.0)
         ws = random_disk_points(rng, 7, radius=0.9, min_sep=0.0)
-        vals = szego_kernel(zs, ws)
+        vals = SzegoKernel()(zs, ws)
         assert vals.shape == (7,)
         assert np.abs(vals - 1.0 / (1.0 - zs * np.conj(ws))).max() < 1e-15
 
@@ -357,7 +354,7 @@ class TestModelSphereSampling:
         # every sample is a unimodular multiple of the basis vector, so all
         # induced kernels coincide
         z, w = 0.3, -0.2 + 0.1j
-        vals = [cyclic_kernel(b, v, z, w) for v in vecs]
+        vals = [CyclicKernel(b, v)(z, w) for v in vecs]
         assert np.abs(np.diff(vals)).max() < 1e-14
         for v in vecs:
             assert abs(abs(v.coefficients[0]) - 1.0) < 1e-12
