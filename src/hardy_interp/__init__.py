@@ -53,7 +53,6 @@ from .pick import (
     family_minimum,
     feasible_family,
     feasible_single,
-    scaled_single_kernel_check,
     unit_constant_projection,
 )
 from .rkhs import (

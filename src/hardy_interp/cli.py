@@ -39,7 +39,6 @@ from .pick import (
     default_kernel,
     feasible_family,
     feasible_single,
-    scaled_single_kernel_check,
 )
 from .problemfile import (
     FORMAT_TAG,
@@ -144,6 +143,8 @@ def _build_kernel(pf: ProblemFile, algebra):
         coeffs = np.array(pf.coeffs, dtype=complex)
         if not np.any(coeffs):
             raise ProblemFileError("kernel cyclic needs a nonzero coeff vector")
+        # parts scaled to at most 1, so that the norm of huge entries is finite
+        coeffs /= max(np.abs(coeffs.real).max(), np.abs(coeffs.imag).max())
         vec = ModelVector(tm_basis(product), coeffs / np.linalg.norm(coeffs))
         return CyclicKernel(product, vec)
     raise ProblemFileError(f"unknown kernel {name!r}")
@@ -211,23 +212,14 @@ def _cmd_feasible(pf: ProblemFile, args, cert: Certificate) -> int:
     elif method == "family":
         used["samples"] = int(_scalar(pf, args, "samples", 512))
         used["seed"] = int(_scalar(pf, args, "seed", 0))
-        report = feasible_family(problem, samples=used["samples"], refine=True,
-                                 tol=tol, seed=used["seed"])
-    elif method == "scaled":
-        c = pf.scalars.get("c")
-        if c is None:
-            raise ProblemFileError("method scaled requires a 'c' line")
-        report = scaled_single_kernel_check(problem, c, tol)
+        report = feasible_family(problem, samples=used["samples"], tol=tol,
+                                 seed=used["seed"])
     else:
         raise ProblemFileError(f"unknown feasibility method {method!r}")
     cert.add("method", method)
     cert.add("verdict", report.verdict.value)
     cert.add("min_eig", report.worst_min_eig)
     cert.add("samples_tested", report.samples_tested)
-    if report.guarantee_level is not None:
-        cert.add("guarantee_level", report.guarantee_level)
-    if report.conditional:
-        cert.add("conditional", "similarity-hypothesis")
     if report.worst_parameter is not None:
         cert.add("witness", list(report.worst_parameter.coefficients))
     _echo_config(cert, **used)
@@ -269,6 +261,8 @@ def _cmd_solve(pf: ProblemFile, args, cert: Certificate) -> int:
         return 0
     degree = int(_scalar(pf, args, "degree", 8))
     level = pf.scalars.get("level", problem.bound)
+    if not level > 0:
+        raise ProblemFileError(f"level must be positive, got {level!r}")
     tol = _scalar(pf, args, "tol", 1e-6)
     result = tangential_solve(problem, degree, grid, level=level, tol=tol)
     cert.add("grid_norm", result.grid_norm)

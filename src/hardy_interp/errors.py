@@ -30,8 +30,8 @@ class NotNormalized(HardyInterpError):
 
 
 class NotLogIntegrable(HardyInterpError):
-    """Boundary modulus samples are negative or not finite, or vanish where
-    the modulus is not a trigonometric polynomial."""
+    """Boundary modulus samples are negative or not finite, or the modulus
+    is not a trigonometric polynomial with an exact outer factor."""
 
 
 class KernelMismatch(HardyInterpError):

@@ -2,9 +2,8 @@
 
 Assembles the matrices [(alpha^2 <v_j, v_i> - w_i conj(w_j)) K(x_i, x_j)]
 for tangential interpolation data and decides feasibility: a single-kernel
-test for H-infinity, a swept-and-refined kernel-family test for
-C + B*H-infinity, and a scaled single-kernel check whose conclusion is
-conditional on a user-supplied similarity bound.
+test for H-infinity and a swept-and-refined kernel-family test for
+C + B*H-infinity.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "feasible_single",
     "feasible_family",
     "family_minimum",
-    "scaled_single_kernel_check",
 ]
 
 
@@ -124,16 +122,12 @@ class FeasibilityReport:
 
     worst_min_eig is the smallest eigenvalue seen over all kernels tested;
     worst_parameter is the model vector achieving it (family sweeps only).
-    For the scaled check, guarantee_level = alpha * c applies only under the
-    caller's similarity hypothesis, flagged by ``conditional``.
     """
 
     verdict: Verdict
     worst_min_eig: float
     worst_parameter: Optional[ModelVector]
     samples_tested: int
-    guarantee_level: Optional[float] = None
-    conditional: bool = False
 
 
 def default_kernel(algebra):
@@ -327,34 +321,32 @@ def _refine_minimum(product: BlaschkeProduct, points: np.ndarray,
 
 
 def family_minimum(product: BlaschkeProduct, points: np.ndarray, cmat: np.ndarray,
-                   sweep: np.ndarray, refine: bool = True):
+                   sweep: np.ndarray):
     """Lowest eigenvalue of C o K_c over unit model vectors c, and that c.
 
     C is the Hermitian coefficient matrix of a positivity condition at
     ``points`` (Pick: alpha^2 V V* - w w*; corona: F F* - delta^2) and K_c
     the cyclic kernel of c: one batched sweep over ``sweep``, unit
-    coefficient rows of shape (count, d) (as from rkhs._sphere_rows), then,
-    with ``refine``, _refine_minimum from the worst of them.
+    coefficient rows of shape (count, d) (as from rkhs._sphere_rows), then
+    _refine_minimum from the worst of them.
     """
     eigs = hermitian_eigenvalues(cmat * cyclic_grams(product, points, sweep))[:, 0]
     order = np.argsort(eigs, kind="stable")
     worst_eig, worst_c = float(eigs[order[0]]), sweep[order[0]]
-    if refine:
-        eig, c = _refine_minimum(product, points, cmat, sweep[order[:_REFINE_STARTS]])
-        if eig < worst_eig:
-            worst_eig, worst_c = eig, c
+    eig, c = _refine_minimum(product, points, cmat, sweep[order[:_REFINE_STARTS]])
+    if eig < worst_eig:
+        worst_eig, worst_c = eig, c
     return worst_eig, worst_c
 
 
 def feasible_family(problem: TangentialProblem, samples: int = 512,
-                    refine: bool = True, tol: float = 1e-8,
-                    seed: int = 0) -> FeasibilityReport:
+                    tol: float = 1e-8, seed: int = 0) -> FeasibilityReport:
     """Kernel-family feasibility test for C + B*H-infinity.
 
     family_minimum of the Pick coefficients: a batched sweep of ``samples``
-    unit model-space vectors and, with ``refine``, an exact minimisation of
-    the minimum eigenvalue from the worst samples (alternating and Newton
-    steps, see _refine_minimum).  Feasible means no violation was found at
+    unit model-space vectors, then an exact minimisation of the minimum
+    eigenvalue from the worst samples (alternating and Newton steps, see
+    _refine_minimum).  Feasible means no violation was found at
     the stated sweep size; Infeasible carries the witness vector.
     """
     if isinstance(problem.algebra, FullHinf):
@@ -363,7 +355,7 @@ def feasible_family(problem: TangentialProblem, samples: int = 512,
     _check_duplicate_consistency(problem)
     product = problem.algebra.product
     worst_eig, worst_c = family_minimum(product, problem.points, _coefficient_matrix(problem),
-                                        _sphere_rows(product, samples, seed), refine)
+                                        _sphere_rows(product, samples, seed))
     feasible = worst_eig >= -tol
     witness = None if feasible else ModelVector(tm_basis(product), worst_c)
     return FeasibilityReport(
@@ -371,31 +363,4 @@ def feasible_family(problem: TangentialProblem, samples: int = 512,
         worst_min_eig=worst_eig,
         worst_parameter=witness,
         samples_tested=samples,
-    )
-
-
-def scaled_single_kernel_check(problem: TangentialProblem, c: float,
-                               tol: float = 1e-8) -> FeasibilityReport:
-    """Single-kernel test whose guarantee is scaled by a similarity bound.
-
-    Tests the cyclic kernel with the normalized projection of the constant
-    function 1.  On a feasible verdict the report records the guarantee
-    level alpha * c, valid only under the caller's hypothesis that every
-    cyclic subspace is similar to the base one with condition number at
-    most c; the report is flagged conditional.
-    """
-    if not isinstance(problem.algebra, CplusB):
-        raise KernelMismatch("the scaled check applies to C+B*H-infinity")
-    if c < 1.0:
-        raise ValueError("similarity bound c must be at least 1")
-    vector = unit_constant_projection(problem.algebra.product)
-    kernel = CyclicKernel(problem.algebra.product, vector)
-    report = feasible_single(problem, kernel, tol)
-    return FeasibilityReport(
-        verdict=report.verdict,
-        worst_min_eig=report.worst_min_eig,
-        worst_parameter=vector if report.verdict is Verdict.INFEASIBLE else None,
-        samples_tested=1,
-        guarantee_level=problem.bound * c if report.verdict is Verdict.FEASIBLE else None,
-        conditional=True,
     )

@@ -37,7 +37,6 @@ _SCALAR_KEYS = {
     "alpha": float,
     "delta": float,
     "tol": float,
-    "c": float,
     "level": float,
     "degree": int,
     "fdegree": int,

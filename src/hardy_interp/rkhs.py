@@ -3,8 +3,8 @@
 Finite Blaschke products, the Szego and model-space kernels, the cyclic
 subspace kernel family attached to C + B*H-infinity (with Gram matrices
 batched over many kernels of the family at once), Takenaka-Malmquist
-orthonormal bases, outer functions built from boundary modulus, and a
-deterministic sweep of unit model-space vectors.
+orthonormal bases, exact outer factors of trigonometric-polynomial
+boundary moduli, and a deterministic sweep of unit model-space vectors.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def cyclic_grams(product: BlaschkeProduct, points, coeffs) -> np.ndarray:
 # when deciding that a boundary modulus is a trigonometric polynomial.
 _POLYNOMIAL_TOL = 1e-13
 # Factoring degree D means the eigenvalues of a 2D-by-2D companion matrix;
-# above this degree the Herglotz quadrature is used instead.
+# outer_from_modulus refuses a modulus of higher degree.
 _MAX_FACTOR_DEGREE = 256
 # Roots of the modulus within this distance of the circle, and of each other,
 # are taken as one multiple boundary zero.
@@ -257,15 +257,13 @@ def _merge_boundary_clusters(roots: np.ndarray, degree: int):
 def _fejer_riesz(p: np.ndarray, nodes: np.ndarray):
     """Exact outer factor of a nonnegative trigonometric polynomial.
 
-    p holds samples at the N uniform boundary points `nodes`.  When its
+    p holds finite samples at the N uniform boundary points `nodes`.  When its
     Fourier coefficients vanish above some degree D < N/2, p(t) = |g|^2
     with g(z) = scale * prod(1 - z / r) over the D roots r of z^D p(z) with
     |r| >= 1 (Fejer-Riesz).  Returns (scale, zeros), scale = g(0) > 0, or
     None when p is not such a polynomial or no factor reproduces it.
     """
     n = p.size
-    if not np.all(np.isfinite(p)):
-        return None
     coeffs = np.fft.fft(p) / n
     mags = np.abs(coeffs[:n // 2 + 1])
     if mags.max() == 0.0:
@@ -286,104 +284,57 @@ def _fejer_riesz(p: np.ndarray, nodes: np.ndarray):
     return None
 
 
+@dataclass(eq=False)
 class OuterFunction:
-    """Outer function determined by boundary log-modulus samples.
+    """Outer function g(z) = scale * prod(1 - z / r) over ``zeros`` r, all
+    on or outside the unit circle, with scale = g(0) > 0.
 
-    When the modulus p = exp(log_modulus) is a trigonometric polynomial of
-    degree D < N/2 (and D <= 256), g is its exact Fejer-Riesz factor
-    g(0) * prod(1 - z / r): the roots of z^D p(z) on or outside the circle,
-    each boundary zero merged from its cluster of roots, with g(0) > 0 fit
-    by least squares over the nodes.  Such p may vanish at nodes.
-
-    Any other modulus must be positive at every node.  Interior evaluation
-    then exponentiates the quadrature Herglotz integral of log p; boundary
-    values at the rule's own nodes come from the discrete conjugate
-    function, so |g|^2 reproduces p there to rounding, and the phase is
-    normalized by g(0) > 0.
-
-    Interior evaluation is capped at a radius below 1 (default 0.995) to
-    keep the Herglotz kernel well conditioned.
+    Built by outer_from_modulus as the exact Fejer-Riesz factor of a
+    nonnegative trigonometric polynomial sampled at the nodes of ``rule``.
     """
 
-    def __init__(self, rule: QuadratureRule, log_modulus: np.ndarray,
-                 max_eval_radius: float = 0.995):
-        self.rule = rule
-        self.log_modulus = np.asarray(log_modulus, dtype=float)
-        self.max_eval_radius = float(max_eval_radius)
-        self._factor = _fejer_riesz(np.exp(self.log_modulus), rule.boundary_points)
-        if self._factor is None and not np.all(np.isfinite(self.log_modulus)):
-            raise NotLogIntegrable(
-                "log of boundary modulus is not finite at every node, and the "
-                "modulus is not a trigonometric polynomial"
-            )
-        self._boundary = None
+    rule: QuadratureRule
+    scale: float
+    zeros: np.ndarray
 
     @property
     def value_at_origin(self) -> float:
-        return float(self._values(np.zeros(1))[0].real)
+        return self.scale
 
     def _values(self, flat: np.ndarray) -> np.ndarray:
-        # chunked so grid-sized requests do not allocate a grid-by-rule matrix
-        res = np.empty(flat.size, dtype=complex)
-        bnd = self.rule.boundary_points[None, :]
-        for start in range(0, flat.size, 256):
-            blk = flat[start:start + 256, None]
-            if self._factor is not None:
-                scale, zeros = self._factor
-                res[start:start + 256] = scale * np.prod(1.0 - blk / zeros[None, :], axis=1)
-            else:
-                herglotz = (bnd + blk) / (bnd - blk)
-                res[start:start + 256] = np.exp(
-                    0.5 * np.mean(herglotz * self.log_modulus[None, :], axis=1)
-                )
-        return res
+        return self.scale * np.prod(1.0 - flat[:, None] / self.zeros[None, :], axis=1)
 
     def __call__(self, z):
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        if np.any(np.abs(zz) > self.max_eval_radius):
-            raise ValueError(
-                f"evaluation radius capped at {self.max_eval_radius}; "
-                f"got modulus {float(np.abs(zz).max())}"
-            )
+        zz = check_in_disk(z, "z")
         out = self._values(zz.reshape(-1)).reshape(zz.shape)
         return out if np.asarray(z).shape else complex(out[0])
 
     def boundary_values(self) -> np.ndarray:
-        """g at the rule's nodes: the factor itself, or exp(u + iv) with v
-        the discrete conjugate function of u = log|g|."""
-        if self._boundary is None:
-            if self._factor is not None:
-                self._boundary = self._values(self.rule.boundary_points)
-            else:
-                u = 0.5 * self.log_modulus
-                coeffs = np.fft.fft(u)
-                n = u.size
-                mult = np.zeros(n, dtype=complex)
-                mult[1:n // 2] = -1j
-                mult[n // 2 + 1:] = 1j
-                v = np.fft.ifft(mult * coeffs).real
-                self._boundary = np.exp(u + 1j * v)
-        return self._boundary
+        """g at the rule's nodes."""
+        return self._values(self.rule.boundary_points)
 
 
-def outer_from_modulus(samples, rule: QuadratureRule,
-                       max_eval_radius: float = 0.995) -> OuterFunction:
+def outer_from_modulus(samples, rule: QuadratureRule) -> OuterFunction:
     """Outer function g with |g|^2 = p from boundary samples p(t_k) >= 0.
 
-    A trigonometric-polynomial p is factored exactly and may vanish at
-    nodes; any other p goes through the Herglotz quadrature and must be
-    strictly positive (see OuterFunction).  Raises NotLogIntegrable when a
-    sample is negative or not finite, or is zero and p is not a
-    trigonometric polynomial.
+    p must be a trigonometric polynomial of degree D < N/2 (N the rule's
+    node count) and D <= 256; it is factored exactly (_fejer_riesz) and may
+    vanish at nodes.  Raises NotLogIntegrable when a sample is negative or
+    not finite, or when p is not such a polynomial.
     """
     p = np.asarray(samples, dtype=float)
     if p.shape != rule.nodes.shape:
         raise ValueError(f"expected {rule.node_count} samples, got {p.size}")
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise NotLogIntegrable("boundary modulus samples must be finite and nonnegative")
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)
-    return OuterFunction(rule, logp, max_eval_radius)
+    factor = _fejer_riesz(p, rule.boundary_points)
+    if factor is None:
+        limit = min(rule.node_count // 2 - 1, _MAX_FACTOR_DEGREE)
+        raise NotLogIntegrable(
+            "boundary modulus is not a nonzero trigonometric polynomial of degree "
+            f"at most {limit} with an exact outer factor"
+        )
+    return OuterFunction(rule, *factor)
 
 
 def sample_model_sphere(product: BlaschkeProduct, count: int, seed: int):

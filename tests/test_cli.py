@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,16 @@ from hypothesis import strategies as st
 from hardy_interp import __version__
 from hardy_interp.cli import Certificate, main
 from hardy_interp.errors import ProblemFileError
-from hardy_interp.problemfile import format_complex, parse_problem_file
+from hardy_interp.problemfile import (
+    _ROW_LISTS,
+    _SCALAR_KEYS,
+    _VALUE_LISTS,
+    _WORD_KEYS,
+    format_complex,
+    parse_problem_file,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FEASIBLE_OK = """\
 format hardy-interp/1
@@ -168,6 +178,22 @@ class TestParser:
         with pytest.raises(ProblemFileError):
             parse_problem_file(bad)
 
+    def test_readme_directive_table_matches_parser(self):
+        # the first word of each code span in the first column of the table
+        section = README.read_text(encoding="utf-8").split("### Problem file directives")[1]
+        words = set()
+        for line in section.split("\n#")[0].splitlines():
+            if line.startswith("| `"):
+                first_cell = re.split(r"(?<!\\)\|", line)[1]
+                words.update(span.split()[0] for span in re.findall(r"`([^`]+)`", first_cell))
+        keys = {*_SCALAR_KEYS, *_WORD_KEYS, *_VALUE_LISTS, *_ROW_LISTS}
+        assert keys - words == set()
+        for word in words - {"format", "kind"}:  # the two header lines
+            try:
+                parse_problem_file(f"format hardy-interp/1\nkind kernel\n{word}\n")
+            except ProblemFileError as exc:
+                assert "unknown directive" not in str(exc)
+
     def test_comments_and_blanks(self):
         text = FEASIBLE_OK.replace("alpha 1", "# a comment\n\nalpha 1  # inline")
         pf = parse_problem_file(text)
@@ -297,6 +323,16 @@ class TestCommands:
         config = [ln.split()[0] for ln in out.splitlines() if ln.startswith("config.")]
         assert config == ["config.tol"]
 
+    @pytest.mark.parametrize("level", ["-1", "0"])
+    def test_nonpositive_level_exit_two(self, tmp_path, capsys, level):
+        # like a nonpositive alpha, a nonpositive level is an input error
+        f = tmp_path / "s.txt"
+        f.write_text(SOLVE_FILE + f"level {level}\n")
+        code, out, err = run_cli(["solve", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "level must be positive" in err
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(["feasible", "/nonexistent/x.txt"], capsys)
         assert code == 2
@@ -413,20 +449,15 @@ class TestCommands:
         assert abs(float(vals["grid_norm"]) - float(lines["grid_norm"])) <= 1e-10
 
     def test_scaled_feasibility_method(self, tmp_path, capsys):
-        text = (
-            "format hardy-interp/1\nkind feasible\nalgebra cplusb\n"
-            "zero 0 0\nzero 0 0\nmethod scaled\nc 1.5\nalpha 1\n"
-            "node 0 0\nnode 0.5 0\n"
-            "direction 1 0\ndirection 1 0\n"
-            "target 0 0\ntarget 0.1 0\n"
-        )
+        # the scaled single-kernel method and its similarity bound c are gone
         f = tmp_path / "scaled.txt"
-        f.write_text(text)
-        code, out, _ = run_cli(["feasible", str(f)], capsys)
-        assert code == 0
-        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
-        assert vals["conditional"] == "similarity-hypothesis"
-        assert float(vals["guarantee_level"]) == pytest.approx(1.5)
+        for extra, message in (("method scaled\n", "unknown feasibility method"),
+                               ("c 1.5\n", "unknown directive 'c'")):
+            f.write_text(FAMILY_FILE + extra)
+            code, out, err = run_cli(["feasible", str(f)], capsys)
+            assert code == 2
+            assert out == ""
+            assert message in err
 
     def test_corona_check_cplusb_family(self, tmp_path, capsys):
         f = tmp_path / "cc.txt"
@@ -466,6 +497,25 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert "nonzero coeff" in err
+
+    def test_huge_cyclic_coeff_normalized(self, tmp_path, capfd):
+        # entries near 1e300 have a norm that overflows; they name the same
+        # unit model vector as entries of modulus about 1
+        f = tmp_path / "k.txt"
+        values = []
+        for coeff in ("1 0", "1e300 0", "1 1", "1.5e308 1.5e308"):
+            f.write_text(
+                "format hardy-interp/1\nkind kernel\nkernel cyclic\n"
+                f"zero 0 0\nzero 0.5 0\ncoeff {coeff}\ncoeff {coeff}\n"
+                "pair 0.2 0 0.1 0\n"
+            )
+            code = main(["kernel", str(f)])
+            out, err = capfd.readouterr()
+            assert code == 0, err
+            assert "Warning" not in err
+            values.append(dict(ln.partition(" ")[::2] for ln in out.splitlines())["value.0"])
+        assert values[:2] == ["0.65344156271538945 0"] * 2
+        assert values[3] == values[2]
 
     def test_distance_command(self, tmp_path, capsys):
         f = tmp_path / "d.txt"

@@ -23,7 +23,7 @@ from hardy_interp import (
     feasible_single,
     hermitian_min_eig,
     is_psd,
-    scaled_single_kernel_check,
+    sample_model_sphere,
     tm_basis,
     unit_constant_projection,
 )
@@ -158,7 +158,7 @@ class TestFeasibleFamily:
             w = 0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)) / 2
             single = feasible_single(scalar_problem(pts, w))
             family = feasible_family(scalar_problem(pts, w, algebra=CplusB(b)),
-                                     samples=32, refine=False)
+                                     samples=32)
             assert family.verdict == single.verdict
 
     def test_strictness_against_single_kernel(self):
@@ -185,9 +185,11 @@ class TestFeasibleFamily:
     def test_refinement_never_raises_minimum(self):
         b = BlaschkeProduct((0.0, 0.0))
         p = scalar_problem([0.0, 0.5], [0.0, 0.5], algebra=CplusB(b))
-        coarse = feasible_family(p, samples=64, refine=False)
-        refined = feasible_family(p, samples=64, refine=True)
-        assert refined.worst_min_eig <= coarse.worst_min_eig + 1e-12
+        # the plain sweep minimum over the vectors feasible_family draws
+        coarse = min(hermitian_min_eig(build_pick_matrix(p, CyclicKernel(b, v)).matrix)
+                     for v in sample_model_sphere(b, 64, seed=0))
+        refined = feasible_family(p, samples=64, seed=0)
+        assert refined.worst_min_eig <= coarse + 1e-12
 
     def test_refine_reaches_a_flat_minimum(self):
         # f(0) = 0, f(x) = w in C + z^3 H-infinity with alpha above
@@ -245,26 +247,6 @@ class TestFamilyAgainstIndependentSweep:
 
 
 class TestScaledSingleKernel:
-    def test_c_one_b_z_matches_szego(self):
-        b = BlaschkeProduct((0.0,))
-        rng = np.random.default_rng(19)
-        for _ in range(5):
-            pts = random_disk_points(rng, 3)
-            w = 0.4 * (rng.normal(size=3) + 1j * rng.normal(size=3)) / 2
-            single = feasible_single(scalar_problem(pts, w))
-            scaled = scaled_single_kernel_check(
-                scalar_problem(pts, w, algebra=CplusB(b)), c=1.0)
-            assert scaled.verdict == single.verdict
-            assert scaled.conditional
-
-    def test_zero_targets_any_c(self):
-        b = BlaschkeProduct((0.3,))
-        p = scalar_problem([0.0, 0.5], [0.0, 0.0], algebra=CplusB(b))
-        for c in (1.0, 2.0, 10.0):
-            rep = scaled_single_kernel_check(p, c=c)
-            assert rep.verdict is Verdict.FEASIBLE
-            assert rep.guarantee_level == pytest.approx(c)
-
     def test_projection_of_one(self):
         b = BlaschkeProduct((0.3, -0.2j))
         v = unit_constant_projection(b)

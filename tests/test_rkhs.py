@@ -255,8 +255,8 @@ class TestOuterFunction:
         assert g.value_at_origin == pytest.approx(1.5)
 
     def test_smooth_polynomial_modulus(self):
-        # p = |1 + 0.9 e^{it}|^2 is strictly positive, so the Herglotz
-        # quadrature is spectrally accurate and recovers 1 + 0.9 z
+        # p = |1 + 0.9 e^{it}|^2 is a trigonometric polynomial of degree 1,
+        # factored exactly as 1 + 0.9 z
         rule = uniform_rule(512)
         p = np.abs(1.0 + 0.9 * rule.boundary_points) ** 2
         g = outer_from_modulus(p, rule)
@@ -339,12 +339,17 @@ class TestOuterFunction:
         p[3] = -1.0
         with pytest.raises(NotLogIntegrable):
             outer_from_modulus(p, rule)
+        # positive, but not a trigonometric polynomial of degree below N/2
+        rule = uniform_rule(256)
+        with pytest.raises(NotLogIntegrable, match="degree at most 127"):
+            outer_from_modulus(2.0 + np.abs(np.cos(rule.nodes)), rule)
 
     def test_radius_cap(self):
         rule = uniform_rule(64)
         g = outer_from_modulus(np.ones(64), rule)
+        g(0.9999)
         with pytest.raises(ValueError):
-            g(0.9999)
+            g(1.0)
 
 
 class TestModelSphereSampling:
