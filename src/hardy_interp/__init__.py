@@ -3,11 +3,10 @@ over H-infinity and the constrained subalgebras C + B*H-infinity on the
 unit disk, with kernel-family feasibility tests, constructive interpolants,
 and a finite-truncation check of the operator-distance duality."""
 
-from .corona import CoronaProblem, CoronaReport, corona_check, corona_solve, grid_min_norm
+from .corona import CoronaProblem, CoronaReport, corona_check, corona_solve
 from .duality import (
     DistanceSolution,
     TruncatedDistanceProblem,
-    distance,
     distance_dual,
     distance_primal,
     solve_distance,
@@ -33,7 +32,6 @@ from .numerics import (
     MinimaxSolution,
     PsdVerdict,
     QuadratureRule,
-    circle_integral,
     disk_grid,
     hermitian_eigenvalues,
     hermitian_min_eig,

@@ -203,19 +203,21 @@ def _cmd_pick(pf: ProblemFile, args, cert: Certificate) -> int:
 def _cmd_feasible(pf: ProblemFile, args, cert: Certificate) -> int:
     problem = _build_problem(pf)
     tol = _scalar(pf, args, "tol", 1e-8)
-    method = pf.words.get("method")
-    if method is None:
-        method = "single" if isinstance(problem.algebra, FullHinf) else "family"
+    # the algebra fixes the test: no single kernel decides C + B*H-infinity
+    method = "single" if isinstance(problem.algebra, FullHinf) else "family"
+    if pf.words.get("method", method) != method:
+        raise ProblemFileError(f"unknown feasibility method {pf.words['method']!r} "
+                               f"for {problem.algebra.describe()}: it takes {method!r}")
+    if "kernel" in pf.words:
+        raise ProblemFileError("kind feasible takes no kernel line: the algebra fixes it")
     used = {"tol": tol}
     if method == "single":
-        report = feasible_single(problem, _build_kernel(pf, problem.algebra), tol)
-    elif method == "family":
+        report = feasible_single(problem, tol)
+    else:
         used["samples"] = int(_scalar(pf, args, "samples", 512))
         used["seed"] = int(_scalar(pf, args, "seed", 0))
         report = feasible_family(problem, samples=used["samples"], tol=tol,
                                  seed=used["seed"])
-    else:
-        raise ProblemFileError(f"unknown feasibility method {method!r}")
     cert.add("method", method)
     cert.add("verdict", report.verdict.value)
     cert.add("min_eig", report.worst_min_eig)
@@ -303,6 +305,8 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
     cert.add("mode", mode)
     samples = int(_scalar(pf, args, "samples", 200))
     seed = int(_scalar(pf, args, "seed", 0))
+    # only C + B*H-infinity sweeps model vectors; H-infinity tests one kernel
+    sweep = {} if isinstance(algebra, FullHinf) else {"seed": seed, "samples": samples}
     if mode == "check":
         sets = [np.array(s, dtype=complex) for s in pf.point_sets]
         if not sets:
@@ -317,7 +321,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
             cert.add("worst_set", list(report.worst_point_set))
         if report.worst_parameter is not None:
             cert.add("worst_parameter", list(report.worst_parameter.coefficients))
-        _echo_config(cert, tol=tol, seed=seed, samples=samples)
+        _echo_config(cert, tol=tol, **sweep)
         return 0 if report.passed else 1
     if mode == "solve":
         pf.require("node", pf.nodes)
@@ -325,7 +329,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
         grid = _grid_from(pf, args)
         degree = int(_scalar(pf, args, "degree", 8))
         tol = _scalar(pf, args, "tol", 1e-6)
-        used = dict(tol=tol, seed=seed, samples=samples, degree=degree, grid=grid)
+        used = dict(tol=tol, degree=degree, grid=grid, **sweep)
         try:
             solution, report = corona_solve(
                 problem, nodes, degree, grid,

@@ -22,7 +22,6 @@ from .solve import VectorAnalyticFunction, tangential_solve
 __all__ = [
     "CoronaProblem",
     "CoronaReport",
-    "grid_min_norm",
     "corona_check",
     "corona_solve",
 ]
@@ -61,12 +60,6 @@ class CoronaReport:
     solution_norm: Optional[float] = None
     lower_bound: Optional[float] = None
     norm_slack: Optional[float] = None
-
-
-def grid_min_norm(function: VectorAnalyticFunction, grid: DiskGrid) -> float:
-    """Grid minimum of ||F(z)||, the explicit oracle for choosing delta."""
-    vals = function.values(grid.points)
-    return float(np.sqrt(np.sum(np.abs(vals) ** 2, axis=1)).min())
 
 
 def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
@@ -117,9 +110,12 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
     )
 
 
+# corona_solve accepts a tangential solution of grid norm up to 1 + _NORM_SLACK.
+_NORM_SLACK = 1e-3
+
+
 def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
-                 tol: float = 1e-6, norm_slack: float = 1e-3,
-                 check_samples: int = 200, seed: int = 0):
+                 tol: float = 1e-6, check_samples: int = 200, seed: int = 0):
     """Produce G with F(z) . G(z) = 1 at the nodes and norm near 1/delta.
 
     Builds the tangential problem with directions conj(F(x_j)), targets
@@ -133,7 +129,7 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
     Raises HypothesisInsufficientAtScale when the check fails on the node
     set, when no G of this degree meets the nodes (the minimax's least
     squares raises InfeasibleConstraints), or when the tangential solution
-    misses contractivity by more than ``norm_slack``.
+    misses contractivity by more than _NORM_SLACK.
     """
     nodes = check_in_disk(node_set, "corona node")
     precheck = corona_check(problem, [nodes], samples=check_samples,
@@ -157,10 +153,10 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
         raise HypothesisInsufficientAtScale(
             f"tangential step failed: {exc}", report=precheck
         ) from exc
-    if result.grid_norm > 1.0 + norm_slack:
+    if result.grid_norm > 1.0 + _NORM_SLACK:
         raise HypothesisInsufficientAtScale(
             f"tangential solution norm {result.grid_norm:.6f} exceeds 1 + "
-            f"{norm_slack}; raise the degree or refine the grid",
+            f"{_NORM_SLACK}; raise the degree or refine the grid",
             report=precheck,
         )
     solution = result.function.scaled(1.0 / problem.delta)

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DistanceSolution",
     "TruncatedDistanceProblem",
-    "distance",
     "distance_primal",
     "distance_dual",
     "solve_distance",
@@ -67,10 +66,6 @@ class TruncatedDistanceProblem:
                     f"basis matrices are not independent (normalised Gram min eig {lam:.3e})"
                 )
 
-    @property
-    def dims(self):
-        return self.target.shape
-
 
 @dataclass
 class DistanceSolution:
@@ -94,9 +89,9 @@ def _normalised(problem: TruncatedDistanceProblem):
     """The problem with its target scaled by 2^-e, e the binary exponent of
     ||A||, so that ||A|| lies in [1/2, 1), and e; (None, 0) for a zero target.
 
-    The barrier's stopping gap is absolute, so it is only relative to ||A||
-    at this scale.  A power of two scales exactly, also for subnormal
-    entries, so the distance scales back exactly by 2^e.
+    The barrier's stopping gap is set at this scale, so it scales with ||A||
+    and, below ||A|| / 2, with the distance.  A power of two scales exactly,
+    also for subnormal entries, so the distance scales back exactly by 2^e.
     """
     norm = _opnorm(problem.target)
     if norm == 0.0:
@@ -108,7 +103,8 @@ def _normalised(problem: TruncatedDistanceProblem):
 
 # The barrier's settings, at the normalised scale ||A|| in [1/2, 1): tau grows
 # by _TAU_GROWTH once the squared Newton decrement is below _CENTRED; the
-# solve stops once upper - lower <= _GAP, or after _MAX_STEPS Newton steps.
+# solve stops once upper - lower <= _GAP * min(1, 2 upper), relative to the
+# distance itself below ||A|| / 2, or after _MAX_STEPS Newton steps.
 _TAU_GROWTH = 30.0
 _CENTRED = 0.5
 _GAP = 1e-10
@@ -189,7 +185,7 @@ def _barrier(problem: TruncatedDistanceProblem):
                 bound = float(np.sum(w * a.T).real) / trace_norm
                 if bound > lower:
                     lower, best_w = bound, w
-            if upper - lower <= _GAP or steps == _MAX_STEPS:
+            if upper - lower <= _GAP * min(1.0, 2.0 * upper) or steps == _MAX_STEPS:
                 break
             # Exact line search: with X = L L*, -log det (X + a dX) changes by
             # -sum log(1 + a lam), lam the eigenvalues of L^-1 dX L^-*.
@@ -265,17 +261,11 @@ def solve_distance(problem: TruncatedDistanceProblem) -> DistanceSolution:
     return DistanceSolution(math.ldexp(upper, e), math.ldexp(lower, e), steps)
 
 
-def distance(problem: TruncatedDistanceProblem) -> tuple:
-    """(primal, dual) of ``solve_distance``."""
-    solution = solve_distance(problem)
-    return solution.primal, solution.dual
-
-
 def distance_primal(problem: TruncatedDistanceProblem) -> float:
-    """The primal (upper bound) of ``distance``."""
-    return distance(problem)[0]
+    """The primal (upper bound) of ``solve_distance``."""
+    return solve_distance(problem).primal
 
 
 def distance_dual(problem: TruncatedDistanceProblem) -> float:
-    """The dual (lower bound) of ``distance``."""
-    return distance(problem)[1]
+    """The dual (lower bound) of ``solve_distance``."""
+    return solve_distance(problem).dual

@@ -22,7 +22,6 @@ __all__ = [
     "is_psd",
     "QuadratureRule",
     "uniform_rule",
-    "circle_integral",
     "DiskGrid",
     "disk_grid",
     "MinimaxSolution",
@@ -71,9 +70,6 @@ class PsdVerdict:
     is_psd: bool
     min_eig: float
 
-    def __bool__(self) -> bool:
-        return self.is_psd
-
 
 def is_psd(matrix, tol: float = 1e-8) -> PsdVerdict:
     """Decide positive semidefiniteness at an absolute eigenvalue tolerance.
@@ -97,7 +93,6 @@ class QuadratureRule:
 
     node_count: int
     nodes: np.ndarray
-    weights: np.ndarray
 
     @property
     def boundary_points(self) -> np.ndarray:
@@ -109,25 +104,7 @@ def uniform_rule(node_count: int) -> QuadratureRule:
     n = int(node_count)
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"node_count must be a positive power of two, got {node_count}")
-    nodes = 2.0 * np.pi * np.arange(n) / n
-    weights = np.full(n, 1.0 / n)
-    return QuadratureRule(n, nodes, weights)
-
-
-def circle_integral(f, rule: QuadratureRule) -> complex:
-    """Average of f over the rule's boundary points, (1/N) sum f(e^{i t_k}).
-
-    f may be scalar- or array-aware; evaluation falls back to a per-node
-    loop when vectorized evaluation fails.
-    """
-    pts = rule.boundary_points
-    try:
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.shape != pts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([f(z) for z in pts], dtype=complex)
-    return complex(np.sum(vals * rule.weights))
+    return QuadratureRule(n, 2.0 * np.pi * np.arange(n) / n)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Pick-type matrices and feasibility verdicts.
 
 Assembles the matrices [(alpha^2 <v_j, v_i> - w_i conj(w_j)) K(x_i, x_j)]
-for tangential interpolation data and decides feasibility: a single-kernel
-test for H-infinity and a swept-and-refined kernel-family test for
-C + B*H-infinity.
+for tangential interpolation data and decides feasibility by the test of
+the algebra: the Szego kernel for H-infinity, and a swept-and-refined
+cyclic-kernel family for C + B*H-infinity, which no single kernel decides.
 """
 
 from __future__ import annotations
@@ -209,22 +209,20 @@ def build_pick_matrix(problem: TangentialProblem, kernel) -> PickMatrix:
     return PickMatrix(0.5 * (q + q.conj().T), kernel.tag)
 
 
-def feasible_single(problem: TangentialProblem, kernel=None,
-                    tol: float = 1e-8) -> FeasibilityReport:
-    """Single-kernel feasibility: PSD test of one Pick matrix.
+def feasible_single(problem: TangentialProblem, tol: float = 1e-8) -> FeasibilityReport:
+    """Szego-kernel feasibility for H-infinity: PSD test of one Pick matrix.
 
-    For H-infinity this verdict is exact; for C + B*H-infinity a single
-    kernel gives only a necessary condition (see feasible_family).
+    The verdict is exact (Nevanlinna-Pick).  No single kernel decides
+    C + B*H-infinity; its data raise KernelMismatch (use feasible_family).
     """
-    if kernel is None:
-        kernel = default_kernel(problem.algebra)
-    pm = build_pick_matrix(problem, kernel)
-    verdict = is_psd(pm.matrix, tol)
-    witness = kernel.vector if isinstance(kernel, CyclicKernel) else None
+    if not isinstance(problem.algebra, FullHinf):
+        raise KernelMismatch("the Szego test applies to H-infinity; "
+                             "use feasible_family for C+B*H-infinity")
+    verdict = is_psd(build_pick_matrix(problem, SzegoKernel()).matrix, tol)
     return FeasibilityReport(
         verdict=Verdict.FEASIBLE if verdict.is_psd else Verdict.INFEASIBLE,
         worst_min_eig=verdict.min_eig,
-        worst_parameter=None if verdict.is_psd else witness,
+        worst_parameter=None,
         samples_tested=1,
     )
 

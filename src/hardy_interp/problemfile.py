@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .errors import ProblemFileError
 
-__all__ = ["ProblemFile", "parse_problem_file", "format_number", "format_complex"]
+__all__ = ["ProblemFile", "parse_problem_file", "format_number"]
 
 FORMAT_TAG = "hardy-interp/1"
 KINDS = ("kernel", "pick", "feasible", "solve", "corona", "distance", "verify")
@@ -54,11 +54,6 @@ _ROW_LISTS = {"direction": "directions", "fcoeff": "fcoeff_rows", "set": "point_
 
 def format_number(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def format_complex(z: complex) -> str:
-    z = complex(z)
-    return f"{format_number(z.real)} {format_number(z.imag)}"
 
 
 @dataclass

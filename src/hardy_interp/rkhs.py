@@ -297,10 +297,6 @@ class OuterFunction:
     scale: float
     zeros: np.ndarray
 
-    @property
-    def value_at_origin(self) -> float:
-        return self.scale
-
     def _values(self, flat: np.ndarray) -> np.ndarray:
         return self.scale * np.prod(1.0 - flat[:, None] / self.zeros[None, :], axis=1)
 

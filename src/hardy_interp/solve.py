@@ -125,16 +125,10 @@ class SchurInterpolant:
     evaluation surface as a one-component VectorAnalyticFunction.
     """
 
-    components = 1
-
     def __init__(self, numerator: np.ndarray, denominator: np.ndarray):
         self.numerator = np.asarray(numerator, dtype=complex)
         self.denominator = np.asarray(denominator, dtype=complex)
         self.algebra = FullHinf()
-
-    @property
-    def degree(self) -> int:
-        return max(self.numerator.size, self.denominator.size) - 1
 
     def values(self, points) -> np.ndarray:
         z = np.atleast_1d(np.asarray(points, dtype=complex))
@@ -271,8 +265,11 @@ class SolutionReport:
     pick_psd: bool
 
 
-def verify_solution(function, problem: TangentialProblem, grid: DiskGrid,
-                    psd_tol: float = 1e-6) -> SolutionReport:
+# verify_solution's PSD tolerance on the smallest Pick eigenvalue.
+_PSD_TOL = 1e-6
+
+
+def verify_solution(function, problem: TangentialProblem, grid: DiskGrid) -> SolutionReport:
     """Residuals, grid norm, and the Pick PSD re-check at alpha = grid norm.
 
     The PSD status uses the algebra's canonical single kernel; it is a
@@ -291,7 +288,7 @@ def verify_solution(function, problem: TangentialProblem, grid: DiskGrid,
         algebra=problem.algebra,
     )
     pm = build_pick_matrix(check_problem, default_kernel(problem.algebra))
-    verdict = is_psd(pm.matrix, psd_tol)
+    verdict = is_psd(pm.matrix, _PSD_TOL)
     return SolutionReport(
         residuals=residuals,
         max_residual=float(residuals.max()),

@@ -25,7 +25,7 @@ from hardy_interp.problemfile import (
     _SCALAR_KEYS,
     _VALUE_LISTS,
     _WORD_KEYS,
-    format_complex,
+    format_number,
     parse_problem_file,
 )
 
@@ -75,6 +75,24 @@ direction 1 0
 direction 1 0
 target 0 0
 target 0.5 0
+"""
+
+# f(0) = 0, f(1/2) = 0.2 in C + z^2 H-infinity: the threshold is
+# |w| / |x|^2 = 0.8, so alpha 0.79 is infeasible, though the Szego kernel and
+# the cyclic kernel of the projection of 1 each give a positive Pick matrix
+ALGEBRA_THRESHOLD_FILE = """\
+format hardy-interp/1
+kind feasible
+algebra cplusb
+zero 0 0
+zero 0 0
+alpha 0.79
+node 0 0
+node 0.5 0
+direction 1 0
+direction 1 0
+target 0 0
+target 0.2 0
 """
 
 DISTANCE_FILE = """\
@@ -204,7 +222,7 @@ class TestParser:
     def test_complex_serialization_roundtrips_doubles(self, z):
         text = (
             "format hardy-interp/1\nkind kernel\nkernel szego\n"
-            f"pair {format_complex(z)} 0 0\n"
+            f"pair {format_number(z.real)} {format_number(z.imag)} 0 0\n"
         )
         pf = parse_problem_file(text)
         back = pf.pairs[0][0]
@@ -322,6 +340,22 @@ class TestCommands:
         assert code == 0
         config = [ln.split()[0] for ln in out.splitlines() if ln.startswith("config.")]
         assert config == ["config.tol"]
+
+    @pytest.mark.parametrize("text, echoed", [
+        (CORONA_SOLVE_FILE.replace("mode solve", "mode check") + "set 0 0 0.3 0\n",
+         ["tol"]),
+        (CORONA_SOLVE_FILE, ["tol", "degree", "grid"]),
+        (CORONA_CHECK_FILE, ["tol", "seed", "samples"]),
+    ], ids=["hinf-check", "hinf-solve", "cplusb-check"])
+    def test_corona_echoes_sweep_settings_only_for_cplusb(self, tmp_path, capsys,
+                                                          text, echoed):
+        # H-infinity tests the Szego kernel alone: no seed, no samples
+        f = tmp_path / "corona.txt"
+        f.write_text(text)
+        code, out, _ = run_cli(["corona", str(f)], capsys)
+        assert code == 0
+        config = [ln.split()[0] for ln in out.splitlines() if ln.startswith("config.")]
+        assert config == [f"config.{key}" for key in echoed]
 
     @pytest.mark.parametrize("level", ["-1", "0"])
     def test_nonpositive_level_exit_two(self, tmp_path, capsys, level):
@@ -458,6 +492,42 @@ class TestCommands:
             assert code == 2
             assert out == ""
             assert message in err
+
+    def test_algebra_chooses_feasibility_test(self, tmp_path, capsys):
+        f = tmp_path / "algebra.txt"
+        f.write_text(ALGEBRA_THRESHOLD_FILE)
+        code, out, _ = run_cli(["feasible", str(f)], capsys)
+        assert code == 1
+        assert "method family\nverdict infeasible\n" in out
+        f.write_text(ALGEBRA_THRESHOLD_FILE + "method family\n")
+        assert run_cli(["feasible", str(f)], capsys)[:2] == (code, out)
+        # one kernel does not decide C + B*H-infinity, so it gives no verdict
+        for method in ("single", "model"):
+            f.write_text(ALGEBRA_THRESHOLD_FILE + f"method {method}\n")
+            code, out, err = run_cli(["feasible", str(f)], capsys)
+            assert code == 2
+            assert out == ""
+            assert f"unknown feasibility method {method!r}" in err
+        f.write_text(FEASIBLE_OK + "method family\n")
+        code, out, err = run_cli(["feasible", str(f)], capsys)
+        assert code == 2
+        assert "unknown feasibility method 'family'" in err
+
+    @pytest.mark.parametrize("text, kernel", [
+        (FEASIBLE_OK, "kernel szego\n"),
+        (FEASIBLE_OK, "kernel model\nzero 0 0\n"),
+        (ALGEBRA_THRESHOLD_FILE, "kernel cyclic\ncoeff 1 0\ncoeff 0 0\n"),
+        (ALGEBRA_THRESHOLD_FILE, "kernel model\n"),
+    ], ids=["hinf-szego", "hinf-model", "cplusb-cyclic", "cplusb-model"])
+    def test_feasible_rejects_kernel_line(self, tmp_path, capsys, text, kernel):
+        # the algebra fixes the kernel of its test; a kernel line is for the
+        # kernel and pick commands
+        f = tmp_path / "k.txt"
+        f.write_text(text + kernel)
+        code, out, err = run_cli(["feasible", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "no kernel line" in err
 
     def test_corona_check_cplusb_family(self, tmp_path, capsys):
         f = tmp_path / "cc.txt"

@@ -5,12 +5,16 @@ import pytest
 
 from hardy_interp import (
     TruncatedDistanceProblem,
-    distance,
     distance_dual,
     distance_primal,
     solve_distance,
 )
 from hardy_interp import duality
+
+
+def bracket(problem):
+    solution = solve_distance(problem)
+    return solution.primal, solution.dual
 
 
 def random_instance(rng, max_dim=6, max_basis=3):
@@ -126,12 +130,25 @@ class TestDuality:
             gap = distance_primal(p) - distance_dual(p)
             assert abs(gap) <= 1e-6
 
+    def test_gap_relative_to_distance_near_subspace(self):
+        # targets at distance about eps ||R|| from the subspace, eps down to
+        # 1e-6: the bracket must be tight relative to the distance, not ||A||
+        rng = np.random.default_rng(0)
+
+        def cmat():
+            return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+        for eps in np.logspace(-2, -6, 50):
+            s1, s2, r = cmat(), cmat(), cmat()
+            primal, dual = bracket(TruncatedDistanceProblem(s1 + 0.5 * s2 + eps * r, [s1, s2]))
+            assert abs(primal - dual) <= 1e-8 * primal
+
     def test_seed_with_degenerate_rank_one_optimum(self):
         # Here the span of (S_k (x) I) h1 degenerates at the rank-one optimal
         # h1, so a dual seeded with the top singular vector alone returns
         # 2.7e-7 instead of the distance 0.709.
         p = criterion_6_instance(5)
-        assert p.dims == (3, 2) and len(p.basis) == 3
+        assert p.target.shape == (3, 2) and len(p.basis) == 3
         assert abs(distance_primal(p) - distance_dual(p)) <= 1e-6
 
     def test_tensor_rank_stability(self):
@@ -162,39 +179,39 @@ class TestDistance:
         rng = np.random.default_rng(23)
         for _ in range(5):
             p = random_instance(rng)
-            assert distance(p) == (distance_primal(p), distance_dual(p))
+            assert bracket(p) == (distance_primal(p), distance_dual(p))
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(29)
         for _ in range(4):
             p = random_instance(rng)
-            primal, dual = distance(p)
+            primal, dual = bracket(p)
             for c in (2.0 ** -30, 2.0 ** 20):
                 scaled = TruncatedDistanceProblem(c * p.target, p.basis)
-                assert distance(scaled) == (c * primal, c * dual)
+                assert bracket(scaled) == (c * primal, c * dual)
             c = 1e-9
-            scaled = distance(TruncatedDistanceProblem(c * p.target, p.basis))
+            scaled = bracket(TruncatedDistanceProblem(c * p.target, p.basis))
             assert scaled == pytest.approx((c * primal, c * dual), rel=1e-8)
 
     def test_tiny_target(self):
         # distance from I to span{diag(1, 2)} is 1/3, at theta = -2/3
         basis = [np.diag([1.0, 2.0]).astype(complex)]
-        primal, dual = distance(TruncatedDistanceProblem(1e-200 * np.eye(2), basis))
+        primal, dual = bracket(TruncatedDistanceProblem(1e-200 * np.eye(2), basis))
         assert primal == pytest.approx(1e-200 / 3, rel=1e-7)
         assert dual == pytest.approx(1e-200 / 3, rel=1e-7)
-        assert distance(TruncatedDistanceProblem(np.zeros((2, 2)), basis)) == (0.0, 0.0)
+        assert bracket(TruncatedDistanceProblem(np.zeros((2, 2)), basis)) == (0.0, 0.0)
 
     def test_basis_scale_does_not_change_distance(self):
         p = criterion_6_instance(3)
         for c in (1e-6, 1e-200):
             scaled = TruncatedDistanceProblem(p.target, [c * b for b in p.basis], p.rank)
-            assert distance(scaled) == pytest.approx(distance(p), rel=1e-9)
+            assert bracket(scaled) == pytest.approx(bracket(p), rel=1e-9)
 
     def test_target_equal_to_basis(self):
         # A = S_1: the multiplier projects to rounding residue, which must not
         # be taken as a lower bound (it gave 0.75 above the upper bound)
         a = 0.75 * np.diag([1.0, -1.0])
-        primal, dual = distance(TruncatedDistanceProblem(a, [a]))
+        primal, dual = bracket(TruncatedDistanceProblem(a, [a]))
         assert primal <= 1e-9 * 0.75
         assert 0.0 <= dual <= primal
 

@@ -94,6 +94,8 @@ class TestBuildPickMatrix:
         pc = scalar_problem([0.0], [0.5], algebra=CplusB(b))
         with pytest.raises(KernelMismatch):
             build_pick_matrix(pc, SzegoKernel())
+        with pytest.raises(KernelMismatch):
+            feasible_single(pc)  # no single kernel decides C + B*H-infinity
 
     def test_duplicate_nodes_contradictory(self):
         p = TangentialProblem(
