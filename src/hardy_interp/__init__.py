@@ -30,12 +30,10 @@ from .errors import (
 from .numerics import (
     DiskGrid,
     MinimaxSolution,
-    PsdVerdict,
     QuadratureRule,
     disk_grid,
     hermitian_eigenvalues,
     hermitian_min_eig,
-    is_psd,
     minimax_affine,
     uniform_rule,
 )
@@ -51,6 +49,7 @@ from .pick import (
     family_minimum,
     feasible_family,
     feasible_single,
+    kernel_minimum,
     unit_constant_projection,
 )
 from .rkhs import (

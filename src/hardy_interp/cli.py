@@ -42,6 +42,7 @@ from .pick import (
 )
 from .problemfile import (
     FORMAT_TAG,
+    MINIMUMS,
     ProblemFile,
     format_number,
     parse_problem_file,
@@ -167,6 +168,15 @@ def _scalar(pf: ProblemFile, args, key: str, default):
     return pf.scalars.get(key, default)
 
 
+def _sweep(pf: ProblemFile, args, algebra, samples: int) -> dict:
+    """The model-vector sweep's ``samples`` and ``seed``, from the flags or
+    the file, as keywords; none for H-infinity, which tests one kernel."""
+    if isinstance(algebra, FullHinf):
+        return {}
+    return {"samples": _scalar(pf, args, "samples", samples),
+            "seed": _scalar(pf, args, "seed", 0)}
+
+
 def _echo_config(cert: Certificate, **used) -> None:
     """Echo the settings a command used, and only those, in a fixed order."""
     grid = used.pop("grid", None)
@@ -210,21 +220,18 @@ def _cmd_feasible(pf: ProblemFile, args, cert: Certificate) -> int:
                                f"for {problem.algebra.describe()}: it takes {method!r}")
     if "kernel" in pf.words:
         raise ProblemFileError("kind feasible takes no kernel line: the algebra fixes it")
-    used = {"tol": tol}
+    sweep = _sweep(pf, args, problem.algebra, 512)
     if method == "single":
         report = feasible_single(problem, tol)
     else:
-        used["samples"] = int(_scalar(pf, args, "samples", 512))
-        used["seed"] = int(_scalar(pf, args, "seed", 0))
-        report = feasible_family(problem, samples=used["samples"], tol=tol,
-                                 seed=used["seed"])
+        report = feasible_family(problem, tol=tol, **sweep)
     cert.add("method", method)
     cert.add("verdict", report.verdict.value)
     cert.add("min_eig", report.worst_min_eig)
     cert.add("samples_tested", report.samples_tested)
     if report.worst_parameter is not None:
         cert.add("witness", list(report.worst_parameter.coefficients))
-    _echo_config(cert, **used)
+    _echo_config(cert, tol=tol, **sweep)
     return 0 if report.verdict is Verdict.FEASIBLE else 1
 
 
@@ -303,16 +310,13 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
     problem = CoronaProblem(func, delta)
     mode = pf.words.get("mode", "check")
     cert.add("mode", mode)
-    samples = int(_scalar(pf, args, "samples", 200))
-    seed = int(_scalar(pf, args, "seed", 0))
-    # only C + B*H-infinity sweeps model vectors; H-infinity tests one kernel
-    sweep = {} if isinstance(algebra, FullHinf) else {"seed": seed, "samples": samples}
+    sweep = _sweep(pf, args, algebra, 200)
     if mode == "check":
         sets = [np.array(s, dtype=complex) for s in pf.point_sets]
         if not sets:
             raise ProblemFileError("mode check requires set lines")
         tol = _scalar(pf, args, "tol", 1e-8)
-        report = corona_check(problem, sets, samples=samples, tol=tol, seed=seed)
+        report = corona_check(problem, sets, tol=tol, **sweep)
         cert.add("verdict", "pass" if report.passed else "fail")
         cert.add("min_eig", report.min_eig)
         cert.add("sets_tested", report.sets_tested)
@@ -331,10 +335,7 @@ def _cmd_corona(pf: ProblemFile, args, cert: Certificate) -> int:
         tol = _scalar(pf, args, "tol", 1e-6)
         used = dict(tol=tol, degree=degree, grid=grid, **sweep)
         try:
-            solution, report = corona_solve(
-                problem, nodes, degree, grid,
-                tol=tol, check_samples=samples, seed=seed,
-            )
+            solution, report = corona_solve(problem, nodes, degree, grid, tol=tol, **sweep)
         except HypothesisInsufficientAtScale as exc:
             cert.add("verdict", "fail")
             cert.add("reason", str(exc))
@@ -427,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for key, least in MINIMUMS.items():
+        if (value := getattr(args, key)) is not None and value < least:
+            parser.error(f"argument --{key}: expected at least {least}, got {value}")
     started = time.perf_counter()
     cert = Certificate()
     cert.add("format", FORMAT_TAG)

@@ -14,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import HypothesisInsufficientAtScale, InfeasibleConstraints
-from .numerics import DiskGrid, hermitian_min_eig
-from .pick import FullHinf, TangentialProblem, family_minimum
-from .rkhs import ModelVector, SzegoKernel, _sphere_rows, check_in_disk, tm_basis
+from .numerics import DiskGrid
+from .pick import FullHinf, TangentialProblem, kernel_minimum
+from .rkhs import ModelVector, _sphere_rows, check_in_disk
 from .solve import VectorAnalyticFunction, tangential_solve
 
 __all__ = [
@@ -66,15 +66,15 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
                  tol: float = 1e-8, seed: int = 0) -> CoronaReport:
     """Test the corona positivity condition on each point set.
 
-    For H-infinity the family is the Szego kernel alone; for
-    C + B*H-infinity each point set goes through family_minimum, the sweep
-    of ``samples`` unit model vectors, drawn once for all sets, and the
-    refine of the Pick family test.  Fails fast with the witness point set
-    and kernel parameter.
+    Each point set goes through pick.kernel_minimum: the Szego kernel alone
+    for H-infinity; for C + B*H-infinity family_minimum, from the sweep of
+    ``samples`` unit model vectors drawn once for all sets.  Fails fast with
+    the witness point set and kernel parameter.
     """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     algebra = problem.algebra
-    if not isinstance(algebra, FullHinf):
-        sweep = _sphere_rows(algebra.product, samples, seed)
+    sweep = None if isinstance(algebra, FullHinf) else _sphere_rows(algebra.product, samples, seed)
     worst_eig = np.inf
     sets_tested = 0
     kernels_tested = 0
@@ -84,14 +84,8 @@ def corona_check(problem: CoronaProblem, point_sets, samples: int = 200,
         fvals = problem.function.values(pts)
         # entry (i, j) = sum_k F_k(x_i) conj(F_k(x_j)) - delta^2
         inner = fvals @ fvals.conj().T - problem.delta ** 2
-        inner = 0.5 * (inner + inner.conj().T)
-        if isinstance(algebra, FullHinf):
-            lam, witness = hermitian_min_eig(inner * SzegoKernel().gram(pts)), None
-            kernels_tested += 1
-        else:
-            lam, c = family_minimum(algebra.product, pts, inner, sweep)
-            witness = ModelVector(tm_basis(algebra.product), c)
-            kernels_tested += samples
+        lam, witness = kernel_minimum(algebra, pts, 0.5 * (inner + inner.conj().T), sweep)
+        kernels_tested += 1 if sweep is None else samples
         worst_eig = min(worst_eig, lam)
         if lam < -tol:
             return CoronaReport(
@@ -115,7 +109,7 @@ _NORM_SLACK = 1e-3
 
 
 def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
-                 tol: float = 1e-6, check_samples: int = 200, seed: int = 0):
+                 tol: float = 1e-6, samples: int = 200, seed: int = 0):
     """Produce G with F(z) . G(z) = 1 at the nodes and norm near 1/delta.
 
     Builds the tangential problem with directions conj(F(x_j)), targets
@@ -132,8 +126,7 @@ def corona_solve(problem: CoronaProblem, node_set, degree: int, grid: DiskGrid,
     misses contractivity by more than _NORM_SLACK.
     """
     nodes = check_in_disk(node_set, "corona node")
-    precheck = corona_check(problem, [nodes], samples=check_samples,
-                            tol=1e-8, seed=seed)
+    precheck = corona_check(problem, [nodes], samples=samples, tol=1e-8, seed=seed)
     if not precheck.passed:
         raise HypothesisInsufficientAtScale(
             f"corona hypothesis fails on the node set: min eig {precheck.min_eig:.3e}",

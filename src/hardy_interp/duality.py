@@ -104,7 +104,8 @@ def _normalised(problem: TruncatedDistanceProblem):
 # The barrier's settings, at the normalised scale ||A|| in [1/2, 1): tau grows
 # by _TAU_GROWTH once the squared Newton decrement is below _CENTRED; the
 # solve stops once upper - lower <= _GAP * min(1, 2 upper), relative to the
-# distance itself below ||A|| / 2, or after _MAX_STEPS Newton steps.
+# distance itself below ||A|| / 2, once upper <= _GAP (which a target in the
+# subspace needs), or after _MAX_STEPS Newton steps.
 _TAU_GROWTH = 30.0
 _CENTRED = 0.5
 _GAP = 1e-10
@@ -185,7 +186,8 @@ def _barrier(problem: TruncatedDistanceProblem):
                 bound = float(np.sum(w * a.T).real) / trace_norm
                 if bound > lower:
                     lower, best_w = bound, w
-            if upper - lower <= _GAP * min(1.0, 2.0 * upper) or steps == _MAX_STEPS:
+            if upper - lower <= _GAP * min(1.0, 2.0 * upper) or upper <= _GAP \
+                    or steps == _MAX_STEPS:
                 break
             # Exact line search: with X = L L*, -log det (X + a dX) changes by
             # -sum log(1 + a lam), lam the eigenvalues of L^-1 dX L^-*.

@@ -1,9 +1,9 @@
 """Shared numerical kernel.
 
 Validated Hermitian eigenvalues by LAPACK (one matrix or a batched stack),
-positive-semidefinite verdicts, uniform circle quadrature, deterministic
-disk sampling grids, and a linearly-constrained minimax solver.  Everything
-here is a pure function of its inputs; matrices are ordinary numpy arrays.
+uniform circle quadrature, deterministic disk sampling grids, and a
+linearly-constrained minimax solver.  Everything here is a pure function of
+its inputs; matrices are ordinary numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import numpy as np
 from .errors import InfeasibleConstraints, InvalidMatrix, InvalidRadius, NotConverged
 
 __all__ = [
-    "as_hermitian",
     "hermitian_eigenvalues",
     "hermitian_min_eig",
-    "PsdVerdict",
-    "is_psd",
     "QuadratureRule",
     "uniform_rule",
     "DiskGrid",
@@ -29,15 +26,15 @@ __all__ = [
 ]
 
 
-def as_hermitian(entries) -> np.ndarray:
-    """Validate and return a square Hermitian matrix, or a stack of them, as
-    a complex array.
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending, by LAPACK.
 
-    Raises InvalidMatrix when the input is not square, has a non-finite
-    entry, or deviates from Hermitian symmetry by more than 1e-12 relative to
-    the largest entry of its matrix.
+    A stack of shape (K, n, n) gives a (K, n) array, one ascending row per
+    matrix, from a single batched call.  Raises InvalidMatrix when the input
+    is not square, has a non-finite entry, or deviates from Hermitian
+    symmetry by more than 1e-12 relative to the largest entry of its matrix.
     """
-    a = np.asarray(entries, dtype=complex)
+    a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -46,41 +43,12 @@ def as_hermitian(entries) -> np.ndarray:
     dev = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
     if np.any(dev > 1e-12 * scale):
         raise InvalidMatrix(f"matrix is not Hermitian: max deviation {dev.max():.3e}")
-    return a
-
-
-def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, by LAPACK.
-
-    A stack of shape (K, n, n) gives a (K, n) array, one ascending row per
-    matrix, from a single batched call.
-    """
-    return np.linalg.eigvalsh(as_hermitian(matrix))
+    return np.linalg.eigvalsh(a)
 
 
 def hermitian_min_eig(matrix) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     return float(hermitian_eigenvalues(matrix)[0])
-
-
-@dataclass(frozen=True)
-class PsdVerdict:
-    """Outcome of a positive-semidefiniteness test."""
-
-    is_psd: bool
-    min_eig: float
-
-
-def is_psd(matrix, tol: float = 1e-8) -> PsdVerdict:
-    """Decide positive semidefiniteness at an absolute eigenvalue tolerance.
-
-    PSD means the smallest eigenvalue is >= -tol; the verdict always carries
-    that eigenvalue.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    lam = hermitian_min_eig(matrix)
-    return PsdVerdict(lam >= -tol, lam)
 
 
 @dataclass(frozen=True)
@@ -284,9 +252,12 @@ def _barrier(y0: np.ndarray, span: np.ndarray, tol: float, max_rounds: int):
     best_s, upper, lower, steps = s, base_level, 0.0, 0
     while True:
         vn = _row_norms(v)
-        f, inv = (t - vn) * (t + vn), 1.0 / ((t - vn) * (t + vn))
+        f = (t - vn) * (t + vn)
         if vn.max() < upper:
             best_s, upper = s, float(vn.max())
+        if not np.all(f > 0.0):  # t meets a row norm to rounding: no interior left
+            break
+        inv = 1.0 / f
         # Gradient and Hessian of -sum log f_g in x = (Re s_1, Im s_1, ...,
         # t), scaled by d: rows of uw are U_g* / f_g, then q_g = U_g* v_g / f_g.
         np.conjugate(u, out=uw)

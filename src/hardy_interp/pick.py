@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InconsistentNodes, KernelMismatch
-from .numerics import hermitian_eigenvalues, is_psd
+from .numerics import hermitian_eigenvalues, hermitian_min_eig
 from .rkhs import (
     BlaschkeProduct,
     CyclicKernel,
@@ -40,6 +40,7 @@ __all__ = [
     "feasible_single",
     "feasible_family",
     "family_minimum",
+    "kernel_minimum",
 ]
 
 
@@ -218,13 +219,7 @@ def feasible_single(problem: TangentialProblem, tol: float = 1e-8) -> Feasibilit
     if not isinstance(problem.algebra, FullHinf):
         raise KernelMismatch("the Szego test applies to H-infinity; "
                              "use feasible_family for C+B*H-infinity")
-    verdict = is_psd(build_pick_matrix(problem, SzegoKernel()).matrix, tol)
-    return FeasibilityReport(
-        verdict=Verdict.FEASIBLE if verdict.is_psd else Verdict.INFEASIBLE,
-        worst_min_eig=verdict.min_eig,
-        worst_parameter=None,
-        samples_tested=1,
-    )
+    return _report(problem, tol, None)
 
 
 # The refine starts from this many of the worst sweep samples, for at most
@@ -337,6 +332,19 @@ def family_minimum(product: BlaschkeProduct, points: np.ndarray, cmat: np.ndarra
     return worst_eig, worst_c
 
 
+def kernel_minimum(algebra, points: np.ndarray, cmat: np.ndarray, sweep):
+    """Smallest eigenvalue of C o K over the kernels that decide ``algebra``
+    at ``points`` (C as in family_minimum), and the unit ModelVector of the K
+    reaching it.  They are indexed by the algebra's cyclic subspaces: the
+    Szego kernel alone for H-infinity (vector None, ``sweep`` unused), and
+    for C + B*H-infinity the cyclic kernels of the unit model vectors,
+    searched by family_minimum from the rows of ``sweep``."""
+    if isinstance(algebra, FullHinf):
+        return hermitian_min_eig(cmat * SzegoKernel().gram(points)), None
+    eig, c = family_minimum(algebra.product, points, cmat, sweep)
+    return eig, ModelVector(tm_basis(algebra.product), c)
+
+
 def feasible_family(problem: TangentialProblem, samples: int = 512,
                     tol: float = 1e-8, seed: int = 0) -> FeasibilityReport:
     """Kernel-family feasibility test for C + B*H-infinity.
@@ -350,15 +358,21 @@ def feasible_family(problem: TangentialProblem, samples: int = 512,
     if isinstance(problem.algebra, FullHinf):
         raise KernelMismatch("family sweep applies to C+B*H-infinity; "
                              "use feasible_single with the Szego kernel")
+    return _report(problem, tol, _sphere_rows(problem.algebra.product, samples, seed))
+
+
+def _report(problem: TangentialProblem, tol: float, sweep) -> FeasibilityReport:
+    """The verdict of kernel_minimum against ``tol``: feasible when the
+    minimum is >= -tol; an infeasible one carries the witness vector."""
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     _check_duplicate_consistency(problem)
-    product = problem.algebra.product
-    worst_eig, worst_c = family_minimum(product, problem.points, _coefficient_matrix(problem),
-                                        _sphere_rows(product, samples, seed))
-    feasible = worst_eig >= -tol
-    witness = None if feasible else ModelVector(tm_basis(product), worst_c)
+    eig, witness = kernel_minimum(problem.algebra, problem.points,
+                                  _coefficient_matrix(problem), sweep)
+    feasible = eig >= -tol
     return FeasibilityReport(
         verdict=Verdict.FEASIBLE if feasible else Verdict.INFEASIBLE,
-        worst_min_eig=worst_eig,
-        worst_parameter=witness,
-        samples_tested=samples,
+        worst_min_eig=eig,
+        worst_parameter=None if feasible else witness,
+        samples_tested=1 if sweep is None else len(sweep),
     )

@@ -44,6 +44,9 @@ _SCALAR_KEYS = {
     "seed": int,
     "rank": int,
 }
+# the least value of a scalar line or flag: a sweep draws at least one model
+# vector, and numpy seeds are nonnegative
+MINIMUMS = {"samples": 1, "seed": 0}
 _WORD_KEYS = ("algebra", "kernel", "method", "mode")
 # repeatable directives, by the ProblemFile list each line appends to: one
 # complex number (_VALUE_LISTS) or one row of them (_ROW_LISTS)
@@ -143,6 +146,9 @@ def parse_problem_file(text: str) -> ProblemFile:
             value = _floats(rest, lineno, key, expected=1)[0]
             if _SCALAR_KEYS[key] is int:
                 value = _integer(value, lineno, key)
+            if key in MINIMUMS and value < MINIMUMS[key]:
+                raise ProblemFileError(f"{key}: expected at least {MINIMUMS[key]}, got {value}",
+                                       line=lineno)
             pf.scalars[key] = value
         elif key in _WORD_KEYS:
             if len(rest) != 1:

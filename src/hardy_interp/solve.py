@@ -17,7 +17,7 @@ from .errors import (
     DuplicateNodes,
     InfeasibleProblem,
 )
-from .numerics import DiskGrid, MinimaxSolution, is_psd, minimax_affine
+from .numerics import DiskGrid, MinimaxSolution, hermitian_min_eig, minimax_affine
 from .pick import (
     FullHinf,
     TangentialProblem,
@@ -202,12 +202,9 @@ def schur_interpolate(points, values, bound: float) -> SchurInterpolant:
         bound=bound,
         algebra=FullHinf(),
     )
-    pm = build_pick_matrix(problem, SzegoKernel())
-    verdict = is_psd(pm.matrix, 1e-10)
-    if not verdict.is_psd:
-        raise InfeasibleProblem(
-            f"Pick matrix not PSD: min eigenvalue {verdict.min_eig:.3e}"
-        )
+    min_eig = hermitian_min_eig(build_pick_matrix(problem, SzegoKernel()).matrix)
+    if min_eig < -1e-10:
+        raise InfeasibleProblem(f"Pick matrix not PSD: min eigenvalue {min_eig:.3e}")
     num, den = _schur_recursion(pts, vals / bound)
     return SchurInterpolant(num * bound, den)
 
@@ -287,12 +284,12 @@ def verify_solution(function, problem: TangentialProblem, grid: DiskGrid) -> Sol
         bound=max(gnorm, 1e-300),
         algebra=problem.algebra,
     )
-    pm = build_pick_matrix(check_problem, default_kernel(problem.algebra))
-    verdict = is_psd(pm.matrix, _PSD_TOL)
+    min_eig = hermitian_min_eig(
+        build_pick_matrix(check_problem, default_kernel(problem.algebra)).matrix)
     return SolutionReport(
         residuals=residuals,
         max_residual=float(residuals.max()),
         grid_norm=gnorm,
-        pick_min_eig=verdict.min_eig,
-        pick_psd=verdict.is_psd,
+        pick_min_eig=min_eig,
+        pick_psd=min_eig >= -_PSD_TOL,
     )

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,27 @@ target -0.5 0
 """
 
 
+# criterion 9's H-infinity solve file with tol 0: the minimax cannot close
+# its gap, and the barrier's interior shrinks to rounding
+NOT_CONVERGED_FILE = """\
+format hardy-interp/1
+kind solve
+algebra hinf
+method minimax
+alpha 1
+degree 6
+grid 6 48 0.99
+seed 3
+node 0 0
+node 0.4 0
+direction 1 0
+direction 1 0
+target 0.1 0
+target 0.3 0
+tol 0
+"""
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -290,6 +312,32 @@ class TestCommands:
         assert code == 2
         assert out == ""
         assert "tol must be nonnegative" in err
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("feasible", FEASIBLE_OK, "samples 0"),
+        ("feasible", FEASIBLE_OK, "seed -5"),
+        ("corona", CORONA_CHECK_FILE, "samples 0"),
+        ("solve", SOLVE_FILE, "seed -1"),
+    ], ids=["feasible-hinf-samples", "feasible-hinf-seed", "corona-cplusb-samples",
+            "solve-hinf-seed"])
+    def test_sweep_settings_validated_in_file(self, tmp_path, capsys, command, text, line):
+        # on every command and algebra, also where no sweep runs
+        f = tmp_path / "p.txt"
+        f.write_text(text + line + "\n")
+        code, out, err = run_cli([command, str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        lineno = len(text.splitlines()) + 1
+        assert f"line {lineno}: {line.split()[0]}: expected at least" in err
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--seed", "-1")])
+    def test_sweep_settings_validated_in_flags(self, tmp_path, capsys, flag, value):
+        f = tmp_path / "ok.txt"
+        f.write_text(FEASIBLE_OK)
+        with pytest.raises(SystemExit) as exc:
+            main(["feasible", str(f), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected at least" in capsys.readouterr().err
 
     def test_unknown_command_exit_two(self, tmp_path, capsys):
         f = tmp_path / "ok.txt"
@@ -625,6 +673,56 @@ class TestCommands:
             assert vals["meets_level"] == "yes"
             coeffs = [float(t) for t in vals["solution.fcoeff.0"].split()]
             assert np.abs(np.array(coeffs) - [0.0, 0.0, 1.0, 0.0]).max() < 1e-8
+
+    def test_not_converged_certificate(self, tmp_path, capsys):
+        # the barrier stops once its interior is lost to rounding, with no
+        # floating-point warning, and prints its best level
+        f = tmp_path / "solve.txt"
+        f.write_text(NOT_CONVERGED_FILE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["solve", str(f)], capsys)
+        assert code == 3
+        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+        assert vals["verdict"] == "not-converged"
+        assert int(re.fullmatch(r"gap \S+ after (\d+) steps", vals["reason"])[1]) < 500
+        assert 0.0 < float(vals["best_level"]) <= 1.0
+        assert "not converged after" in err
+
+    def test_corona_solve_failure_certificate(self, tmp_path, capsys):
+        # |F(0)| = 1/2 < delta: the precheck fails on the node set
+        f = tmp_path / "corona.txt"
+        f.write_text(CORONA_SOLVE_FILE.replace("delta 0.5", "delta 0.9"))
+        code, out, _ = run_cli(["corona", str(f)], capsys)
+        assert code == 1
+        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+        assert vals["verdict"] == "fail"
+        assert vals["reason"].startswith("corona hypothesis fails on the node set")
+        assert float(vals["min_eig"]) < -1e-8
+        assert "solution.kind" not in vals
+
+    def test_verify_cplusb_uses_canonical_cyclic_kernel(self, tmp_path, capsys):
+        # f = z^2 + z^3 / 2 in C + z^2 H-infinity; pick_min_eig is the pick
+        # command's min_eig (the same default kernel) at alpha = grid_norm
+        data = ("algebra cplusb\nzero 0 0\nzero 0 0\n"
+                "node 0 0\nnode 0.5 0\nnode 0 -0.4\n"
+                "direction 1 0\ndirection 1 0\ndirection 1 0\n"
+                "target 0 0\ntarget 0.3125 0\ntarget -0.16 0.032\n")
+        f = tmp_path / "verify.txt"
+        f.write_text("format hardy-interp/1\nkind verify\nalpha 1\ngrid 6 48 0.99\n"
+                     "fdegree 1\nfcoeff 0 0 1 0 0.5 0\n" + data)
+        code, out, _ = run_cli(["verify", str(f)], capsys)
+        assert code == 0
+        vals = dict(ln.partition(" ")[::2] for ln in out.splitlines())
+        assert float(vals["max_residual"]) <= 1e-15
+        pick = tmp_path / "pick.txt"
+        pick.write_text(f"format hardy-interp/1\nkind pick\nalpha {vals['grid_norm']}\n" + data)
+        code, pout, _ = run_cli(["pick", str(pick)], capsys)
+        assert code == 0
+        pvals = dict(ln.partition(" ")[::2] for ln in pout.splitlines())
+        assert pvals["kernel"] == "cyclic(deg 2)"
+        assert vals["pick_min_eig"] == pvals["min_eig"]
+        assert vals["pick_psd"] == "yes"
 
     def test_distance_prints_rounds(self, tmp_path, capsys):
         # the Newton steps of the barrier solve, after the unchanged lines

@@ -59,6 +59,11 @@ class TestCoronaCheck:
         report = corona_check(problem, sets)
         assert report.passed
 
+    def test_negative_tol_rejected(self):
+        problem = CoronaProblem(hinf_function([[1.0, 0.0]], 1), 0.5)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            corona_check(problem, [NODES], tol=-1.0)
+
     def test_cplusb_family_sweep(self):
         b = BlaschkeProduct((0.0, 0.0))
         basis = AnalyticBasis(CplusB(b), 1)
@@ -215,7 +220,7 @@ class TestCoronaSolve:
         problem = CoronaProblem(func, 0.9)
         nodes = np.array([0.0, 0.3, -0.2 + 0.4j])
         solution, report = corona_solve(problem, nodes, degree=4, grid=GRID,
-                                        tol=1e-6, check_samples=64)
+                                        tol=1e-6, samples=64)
         assert solution.algebra == CplusB(b)
         assert report.node_residual <= 1e-8
         assert report.solution_norm <= (1.0 / 0.9) * (1.0 + 1e-3)

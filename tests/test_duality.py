@@ -215,6 +215,18 @@ class TestDistance:
         assert primal <= 1e-9 * 0.75
         assert 0.0 <= dual <= primal
 
+    def test_target_in_span_stops_early(self):
+        # distance 0: the relative stop cannot close a bracket [0, upper], so
+        # the solve ran on until Cholesky failed (23-33 Newton steps, once
+        # the 200-step cap); the absolute floor on upper ends it
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            basis = random_instance(rng, max_dim=5).basis
+            a = sum((rng.normal() + 1j * rng.normal()) * b for b in basis)
+            solution = solve_distance(TruncatedDistanceProblem(a, basis))
+            assert solution.rounds <= 20
+            assert 0.0 <= solution.dual <= solution.primal <= 2e-10 * np.linalg.norm(a, 2)
+
     def test_step_cap_returns_valid_bracket(self, monkeypatch):
         # every iterate brackets the distance, so a capped solve still does
         p = criterion_6_instance(7)

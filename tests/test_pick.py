@@ -22,7 +22,7 @@ from hardy_interp import (
     feasible_family,
     feasible_single,
     hermitian_min_eig,
-    is_psd,
+    kernel_minimum,
     sample_model_sphere,
     tm_basis,
     unit_constant_projection,
@@ -77,7 +77,7 @@ class TestBuildPickMatrix:
         # and the matrix verdict flips exactly across |w2| = 1/2
         for w2, feasible in ((0.4, True), (0.49, True), (0.51, False), (0.6, False)):
             pm = build_pick_matrix(scalar_problem([0.0, 0.5], [0.0, w2]), SzegoKernel())
-            assert is_psd(pm.matrix, 1e-10).is_psd == feasible
+            assert (hermitian_min_eig(pm.matrix) >= -1e-10) == feasible
 
     def test_homogeneity_in_alpha_and_targets(self):
         p1 = scalar_problem([0.1, -0.3j], [0.2, 0.1 + 0.1j], bound=1.0)
@@ -223,6 +223,38 @@ def independent_sweep_min(problem, count=4096, seed=99, confirm=8):
     ])
     lows = np.argsort(np.linalg.eigvalsh(mats)[:, 0])[:confirm]
     return min(charpoly_min_eig_oracle(mats[k]) for k in lows)
+
+
+class TestKernelMinimum:
+    def test_cplusb_of_z_matches_hinf(self):
+        # C + z*H-infinity is H-infinity, so its cyclic-kernel family and the
+        # Szego kernel must give one minimum
+        rng = np.random.default_rng(41)
+        b_is_z = CplusB(BlaschkeProduct((0.0,)))
+        sweep = np.array([c.coefficients for c in sample_model_sphere(b_is_z.product, 16, 0)])
+        for _ in range(40):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+            pts = random_disk_points(rng, n)
+            v = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+            w = 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            cmat = np.conj(v) @ v.T - np.outer(w, np.conj(w))
+            cmat = 0.5 * (cmat + cmat.conj().T)
+            szego, none = kernel_minimum(FullHinf(), pts, cmat, None)
+            cyclic, vec = kernel_minimum(b_is_z, pts, cmat, sweep)
+            assert none is None and vec.norm == pytest.approx(1.0, abs=1e-12)
+            assert cyclic == pytest.approx(szego, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("algebra", [FullHinf(), CplusB(BlaschkeProduct((0.0, 0.0)))],
+                             ids=["single", "family"])
+    def test_negative_tol_rejected(self, algebra):
+        # f(0) = 0, f(1/2) = 0.1 is feasible in both algebras (threshold 0.4
+        # in C + z^2 H-infinity); a negative tolerance must not turn it into
+        # a verdict
+        p = scalar_problem([0.0, 0.5], [0.0, 0.1], algebra=algebra)
+        check = feasible_single if isinstance(algebra, FullHinf) else feasible_family
+        assert check(p).verdict is Verdict.FEASIBLE
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            check(p, tol=-1.0)
 
 
 class TestFamilyAgainstIndependentSweep:

@@ -15,7 +15,7 @@ from hardy_interp import (
     NotNormalized,
     SzegoKernel,
     cyclic_grams,
-    is_psd,
+    hermitian_min_eig,
     outer_from_modulus,
     sample_model_sphere,
     tm_basis,
@@ -138,7 +138,7 @@ class TestKernels:
             n = int(rng.integers(1, 7))
             pts = random_disk_points(rng, n, radius=0.9)
             for kern in kernels:
-                assert is_psd(kern.gram(pts), 1e-8).is_psd
+                assert hermitian_min_eig(kern.gram(pts)) >= -1e-8
 
     def test_multiplier_scaling_preserves_psd(self):
         # columns scaled by f(x_i) conj(f(x_j)) leave Gramians PSD
@@ -152,9 +152,9 @@ class TestKernels:
             qcoef = rng.normal(size=3) + 1j * rng.normal(size=3)
             fvals = qcoef[0] + b(pts) * (qcoef[1] + qcoef[2] * pts)
             gram = kern.gram(pts)
-            assert is_psd(gram, 1e-8).is_psd
+            assert hermitian_min_eig(gram) >= -1e-8
             scaled = np.outer(fvals, np.conj(fvals)) * gram
-            assert is_psd(0.5 * (scaled + scaled.conj().T), 1e-8).is_psd
+            assert hermitian_min_eig(0.5 * (scaled + scaled.conj().T)) >= -1e-8
 
 
 class TestCyclicGrams:

@@ -7,9 +7,11 @@ own interpreter and feeds ``hardy_interp.cli.main`` every problem file of the
 benchmark workloads (perfbench/workloads.py, imported read-only): the three
 workloads, seeds 1 and 7, passes 0-2, with the verify round trips that
 perfbench/checks.py derives from each tree's own solve certificates, once
-with text output and once with JSON.  Stdout and the exit code of each run
-are compared; the differing runs are printed per workload, with the lines
-that differ.  Exits 1 if any run differs or the two trees ran different
+with text output and once with JSON.  The problem files in
+tools/extra_problems, which cover commands and paths the workloads never
+run, follow as their own group "extra", also in text and JSON.  Stdout and
+the exit code of each run are compared; the differing runs are printed per
+workload, with the lines that differ.  Exits 1 if any run differs or the two trees ran different
 problems, else 0.
 """
 
@@ -27,6 +29,7 @@ sys.dont_write_bytecode = True
 
 TOOLS = Path(__file__).resolve().parent
 PERFBENCH = TOOLS.parent / "perfbench"
+EXTRA = TOOLS / "extra_problems"
 SEEDS = (1, 7)
 PASSES = (0, 1, 2)
 STYLES = ("text", "json")
@@ -45,6 +48,19 @@ def run_tree(src: str) -> None:
     if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {cli.__file__}, not the tree at {src}")
     records = []
+
+    def run(workload, name, command, path):
+        """Run one problem file in both styles; return exit codes and stdout."""
+        outputs, codes = {}, {}
+        for style in STYLES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                codes[style] = cli.main([command, str(path), "--output", style])
+            outputs[style] = out.getvalue()
+            records.append({"workload": workload, "run": f"{name} {style}",
+                            "exit": codes[style], "stdout": outputs[style]})
+        return codes, outputs
+
     with tempfile.TemporaryDirectory() as work:
         for workload in workloads.WORKLOADS:
             for seed in SEEDS:
@@ -55,21 +71,14 @@ def run_tree(src: str) -> None:
                         problem = queue.pop(0)
                         path = Path(work) / f"{problem.pid}.txt"
                         path.write_text(problem.text, encoding="utf-8")
-                        outputs, codes = {}, {}
-                        for style in STYLES:
-                            out = io.StringIO()
-                            with contextlib.redirect_stdout(out), \
-                                    contextlib.redirect_stderr(io.StringIO()):
-                                codes[style] = cli.main([problem.command, str(path),
-                                                         "--output", style])
-                            outputs[style] = out.getvalue()
-                            records.append({"workload": workload,
-                                            "run": f"{problem.pid} {style}",
-                                            "exit": codes[style], "stdout": outputs[style]})
+                        codes, outputs = run(workload, problem.pid, problem.command, path)
                         outcome = checks.check(problem, codes["text"], outputs["text"], rng)
                         follow = workloads.followup(problem, outcome)
                         if follow is not None:
                             queue.insert(0, follow)
+    for path in sorted(EXTRA.glob("*.txt")):
+        # the second directive, "kind <command>", names the command
+        run("extra", path.stem, path.read_text(encoding="utf-8").split()[3], path)
     json.dump(records, sys.stdout)
 
 
